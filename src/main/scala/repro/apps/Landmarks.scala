@@ -72,14 +72,19 @@ object Landmarks {
   def topBy(score: Array[Double], l: Int): Array[Int] =
     score.zipWithIndex.sortBy(-_._1).take(l).map(_._2)
 
-  /** Mean relative error of the median estimator over `pairs` sampled
-    * connected (s,t) pairs, for a given landmark set.
+  /** True distance of each pair, computed once and shared by every
+    * landmark set evaluated on the same pairs. */
+  def pairDistances(g: AdjGraph, pairs: Seq[(Int, Int)]): Seq[Int] =
+    pairs.map { case (s, t) => g.bfsDistances(s)(t) }
+
+  /** Mean relative error of the median estimator over sampled connected
+    * (s,t) `pairs` with true distances `dist` (see [[pairDistances]]), for a
+    * given landmark set.
     */
   def approximationError(g: AdjGraph, landmarks: Array[Int],
-                         pairs: Seq[(Int, Int)]): Double = {
+                         pairs: Seq[(Int, Int)], dist: Seq[Int]): Double = {
     val vecs = landmarks.map(g.bfsDistances)
-    val errs = pairs.flatMap { case (s, t) =>
-      val d = g.bfsDistances(s)(t)
+    val errs = pairs.zip(dist).flatMap { case ((s, t), d) =>
       if (d <= 0) None
       else {
         var lb = 0; var ub = Int.MaxValue

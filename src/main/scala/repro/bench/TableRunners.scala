@@ -245,26 +245,8 @@ object TableRunners {
     for (name <- Datasets.table7Names) {
       val g = Datasets(name)
       val pairs = Landmarks.samplePairs(g, nPairs, seed = 424242)
-      val trueDist = pairs.map { case (s, t) => g.bfsDistances(s)(t) }
-
-      def evalSet(landmarks: Array[Int]): Double = {
-        val vecs = landmarks.map(g.bfsDistances)
-        val errs = pairs.zip(trueDist).flatMap { case ((s, t), d) =>
-          if (d <= 0) None
-          else {
-            var lb = 0; var ub = Int.MaxValue
-            vecs.foreach { vec =>
-              val ds = vec(s); val dt = vec(t)
-              if (ds >= 0 && dt >= 0) {
-                lb = math.max(lb, math.abs(ds - dt)); ub = math.min(ub, ds + dt)
-              }
-            }
-            if (ub == Int.MaxValue) None
-            else Some(math.abs((lb + ub) / 2.0 - d) / d)
-          }
-        }
-        if (errs.isEmpty) 0.0 else errs.sum / errs.size
-      }
+      val trueDist = Landmarks.pairDistances(g, pairs)
+      def err(landmarks: Array[Int]) = Landmarks.approximationError(g, landmarks, pairs, trueDist)
 
       // (k,h)-core selections: l random vertices from the innermost core,
       // averaged over `repeats` draws.
@@ -276,15 +258,15 @@ object TableRunners {
         val errs = (1 to repeats).map { rep =>
           val sel = new scala.util.Random(1000 * h + rep)
             .shuffle(top.toSeq).take(math.min(l, top.length)).toArray
-          evalSet(sel)
+          err(sel)
         }
         errors((name, s"core h=$h")) = errs.sum / errs.size
       }
-      errors((name, "cc")) = evalSet(Landmarks.topBy(Landmarks.closeness(g), l))
-      errors((name, "bc")) = evalSet(Landmarks.topBy(Landmarks.betweenness(g), l))
+      errors((name, "cc")) = err(Landmarks.topBy(Landmarks.closeness(g), l))
+      errors((name, "bc")) = err(Landmarks.topBy(Landmarks.betweenness(g), l))
       for (h <- 1 to 4) {
         val hd = HBfs.allHDegrees(g, h).map(_.toDouble)
-        errors((name, s"deg^$h")) = evalSet(Landmarks.topBy(hd, l))
+        errors((name, s"deg^$h")) = err(Landmarks.topBy(hd, l))
       }
     }
 

@@ -58,10 +58,6 @@ final class HBfs(n: Int) {
     budget.check()
     nbrCount
   }
-
-  /** h-degree only (same traversal, result arrays still populated). */
-  def hDegree(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget): Int =
-    run(g, alive, src, h, budget)
 }
 
 object HBfs {

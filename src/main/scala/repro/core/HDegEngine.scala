@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
+import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
 import scala.jdk.CollectionConverters._
 
 /** Batch computation of h-degrees for a set of vertices over a fixed alive
@@ -25,6 +25,17 @@ trait HDegEngine {
 }
 
 private object EngineKernels {
+  /** Sequential kernel shared by the engines: h-degree of each vertex. */
+  def hDegRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                h: Int, budget: Budget,
+                bfs: HBfs, out: Array[Int], from: Int, until: Int): Unit = {
+    var i = from
+    while (i < until) {
+      out(i) = bfs.run(g, alive, vertices(i), h, budget)
+      i += 1
+    }
+  }
+
   /** Sequential kernel shared by the engines: max of `value` over the
     * r-neighborhood of each vertex (including the vertex). */
   def nbrMaxRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
@@ -56,11 +67,7 @@ final class SequentialEngine(n: Int) extends HDegEngine {
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
     val out = new Array[Int](vertices.length)
-    var i = 0
-    while (i < vertices.length) {
-      out(i) = bfs.run(g, alive, vertices(i), h, budget)
-      i += 1
-    }
+    EngineKernels.hDegRange(g, alive, vertices, h, budget, bfs, out, 0, vertices.length)
     out
   }
 
@@ -81,48 +88,42 @@ final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availablePr
     extends HDegEngine {
   private val pool = Executors.newFixedThreadPool(threads)
   private val localBfs = ThreadLocal.withInitial[HBfs](() => new HBfs(n))
-  private val seqFallback = new SequentialEngine(n)
   private val minParallelBatch = 32
+
+  /** Runs `body(bfs, from, until)` over contiguous chunks of [0, len) on the
+    * pool (on the calling thread below `minParallelBatch`). A worker's
+    * failure, e.g. [[BudgetExceeded]], is rethrown as itself.
+    */
+  private def parallelFor(len: Int)(body: (HBfs, Int, Int) => Unit): Unit = {
+    if (len < minParallelBatch) return body(localBfs.get(), 0, len)
+    val chunk = math.max(16, len / (threads * 4))
+    val tasks = (0 until len by chunk).map { start =>
+      val end = math.min(len, start + chunk)
+      new Callable[Unit] {
+        override def call(): Unit = body(localBfs.get(), start, end)
+      }
+    }
+    pool.invokeAll(tasks.asJava).asScala.foreach { f =>
+      try f.get()
+      catch { case e: ExecutionException => throw e.getCause }
+    }
+  }
 
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
-    if (vertices.length < minParallelBatch)
-      return seqFallback.batchHDeg(g, alive, vertices, h, budget)
     val out = new Array[Int](vertices.length)
-    val chunk = math.max(16, vertices.length / (threads * 4))
-    val tasks = (0 until vertices.length by chunk).map { start =>
-      val end = math.min(vertices.length, start + chunk)
-      new Callable[Unit] {
-        override def call(): Unit = {
-          val bfs = localBfs.get()
-          var i = start
-          while (i < end) {
-            out(i) = bfs.run(g, alive, vertices(i), h, budget)
-            i += 1
-          }
-        }
-      }
+    parallelFor(vertices.length) { (bfs, from, until) =>
+      EngineKernels.hDegRange(g, alive, vertices, h, budget, bfs, out, from, until)
     }
-    val futures = pool.invokeAll(tasks.asJava)
-    futures.asScala.foreach(_.get()) // rethrow BudgetExceeded etc.
     out
   }
 
   override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                            r: Int, value: Array[Int], budget: Budget): Array[Int] = {
-    if (vertices.length < minParallelBatch)
-      return seqFallback.batchNbrMax(g, alive, vertices, r, value, budget)
     val out = new Array[Int](vertices.length)
-    val chunk = math.max(16, vertices.length / (threads * 4))
-    val tasks = (0 until vertices.length by chunk).map { start =>
-      val end = math.min(vertices.length, start + chunk)
-      new Callable[Unit] {
-        override def call(): Unit =
-          EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget,
-                                    localBfs.get(), out, start, end)
-      }
+    parallelFor(vertices.length) { (bfs, from, until) =>
+      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, bfs, out, from, until)
     }
-    pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
     out
   }
 

@@ -34,17 +34,52 @@ object HLBUB {
     out.result()
   }
 
-  /** Algorithm 6. Mutates `alive` (removing pruned vertices) and `lb3`
-    * (monotone max with the Property-3 bound). Returns the surviving
-    * vertices' fresh upper-bounded h-degrees only for internal use.
+  /** Alg. 4 lines 3–11: the bounds and the top-down list of intervals.
+    * `lb2` seeds LB3 in ImproveLB; `ub` defines each V[kmin].
+    */
+  final case class Plan(lb2: Array[Int], ub: Array[Int], intervals: Seq[(Int, Int)])
+
+  /** LB1 → LB2 → UB (or the trivial h-degree bound), then the intervals of
+    * `s` distinct UB values each; None ⇒ adaptive (≈ 12 intervals). The
+    * engine sees these three all-vertex batches in exactly this order.
+    */
+  def plan(g: AdjGraph, h: Int, engine: HDegEngine, budget: Budget,
+           s: Option[Int], useHDegAsUB: Boolean = false): Plan = {
+    // Initial h-degrees are part of UB's computation.
+    val l1 = Bounds.lb1(g, h, engine, budget)
+    val lb2 = Bounds.lb2(g, h, l1, engine, budget)
+    val ub =
+      if (useHDegAsUB) Bounds.hDegUB(g, h, engine, budget)
+      else Bounds.upperBound(g, h, engine, budget)
+    val uDesc = (ub.distinct :+ (lb2.min - 1)).distinct.sortBy(-_)
+    val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
+    Plan(lb2, ub, intervals(uDesc, sVal))
+  }
+
+  /** Per-run state the interval routine reads and updates. Shared across a
+    * whole run, it carries assigned cores (bucketed above kmax, never
+    * re-peeled) and the monotone LB3 from interval to interval; a fresh one
+    * knows nothing of other intervals. `deg` is scratch for Alg. 6 and 3.
+    */
+  final class State(n: Int) {
+    val core = Array.fill(n)(-1)
+    val assigned = new Array[Boolean](n)
+    val lb3 = new Array[Int](n)
+    val setLB = new Array[Boolean](n)
+    val deg = new Array[Int](n)
+  }
+
+  /** Algorithm 6. Mutates `alive` (removing pruned vertices), `st.lb3`
+    * (monotone max with the Property-3 bound) and `st.deg`.
     */
   private def improveLB(g: AdjGraph, h: Int, kmin: Int,
                         alive: Array[Boolean], verts: Array[Int],
-                        lb2: Array[Int], lb3: Array[Int],
+                        lb2: Array[Int], st: State,
                         engine: HDegEngine, budget: Budget): Unit = {
     if (verts.isEmpty) return
     val degs = engine.batchHDeg(g, alive, verts, h, budget)
-    val deg = new Array[Int](g.n)
+    val deg = st.deg
+    val lb3 = st.lb3
     var minDeg = Int.MaxValue
     var i = 0
     while (i < verts.length) {
@@ -87,7 +122,37 @@ object HLBUB {
     }
   }
 
-  /** Full h-LB+UB decomposition.
+  /** Alg. 4 lines 12–18 for one interval [kmin,kmax]: build V[kmin], clean
+    * and tighten it with ImproveLB, bucket the survivors at
+    * max(core, LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` and
+    * `st.assigned` for every vertex whose core index lies in the interval.
+    */
+  def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int, plan: Plan, st: State,
+                  engine: HDegEngine, budget: Budget): Unit = {
+    val n = g.n
+    // Line 12: V[kmin] = {v : UB(v) >= kmin}.
+    val alive = Array.tabulate(n)(v => plan.ub(v) >= kmin)
+    val verts = (0 until n).filter(alive).toArray
+    // Lines 13–14: clean + tighten (Alg. 6).
+    improveLB(g, h, kmin, alive, verts, plan.lb2, st, engine, budget)
+    // Lines 15–17: bucket survivors at their best-known floor.
+    val buckets = new Buckets(n, math.max(0, n - 1))
+    val floor = math.max(0, kmin - 1)
+    var v = 0
+    while (v < n) {
+      if (alive(v)) {
+        buckets.add(v, math.max(math.max(st.core(v), st.lb3(v)), floor))
+        st.setLB(v) = true
+      }
+      v += 1
+    }
+    // Line 18.
+    CoreDecomp.run(g, h, kmin, kmax, alive, buckets, st.setLB, st.deg,
+                   st.core, st.assigned, engine, budget)
+  }
+
+  /** Full h-LB+UB decomposition: one [[State]] for the whole run, intervals
+    * visited top-down.
     *
     * @param s       interval width in distinct UB values; None ⇒ adaptive
     *                (≈ 12 intervals), the default used by the benches
@@ -101,50 +166,11 @@ object HLBUB {
                 useHDegAsUB: Boolean = false): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
-    val n = g.n
-    if (n == 0) return CoreResult(Array.empty, 0, 0, 0)
-
-    val core = Array.fill(n)(-1)
-    val assigned = new Array[Boolean](n)
-    val lb3 = new Array[Int](n)
-
-    // Lines 3–9: bounds (initial h-degrees are part of UB's computation).
-    val l1 = Bounds.lb1(g, h, engine, budget)
-    val lb2 = Bounds.lb2(g, h, l1, engine, budget)
-    val ub =
-      if (useHDegAsUB) Bounds.hDegUB(g, h, engine, budget)
-      else Bounds.upperBound(g, h, engine, budget)
-
-    val lb0 = lb2.min
-    val uDesc = (ub.distinct :+ (lb0 - 1)).distinct.sortBy(-_)
-    val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
-    val parts = intervals(uDesc, sVal)
-
-    val setLB = new Array[Boolean](n)
-    val deg = new Array[Int](n)
-
-    for ((kmin, kmax) <- parts) {
-      // Line 12: V[kmin] = {v : UB(v) >= kmin} — rebuilt per interval.
-      val alive = Array.tabulate(n)(v => ub(v) >= kmin)
-      val verts = (0 until n).filter(alive).toArray
-      // Lines 13–14: clean + tighten (Alg. 6).
-      improveLB(g, h, kmin, alive, verts, lb2, lb3, engine, budget)
-      // Lines 15–17: bucket survivors at their best-known floor.
-      val buckets = new Buckets(n, math.max(0, n - 1))
-      val floor = math.max(0, kmin - 1)
-      var v = 0
-      while (v < n) {
-        if (alive(v)) {
-          val b = math.max(math.max(core(v), lb3(v)), floor)
-          buckets.add(v, b)
-          setLB(v) = true
-        }
-        v += 1
-      }
-      // Line 18.
-      CoreDecomp.run(g, h, kmin, kmax, alive, buckets, setLB, deg,
-                     core, assigned, engine, budget)
-    }
-    CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    if (g.n == 0) return CoreResult(Array.empty, 0, 0, 0)
+    val p = plan(g, h, engine, budget, s, useHDegAsUB)
+    val st = new State(g.n)
+    for ((kmin, kmax) <- p.intervals)
+      runInterval(g, h, kmin, kmax, p, st, engine, budget)
+    CoreResult(st.core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

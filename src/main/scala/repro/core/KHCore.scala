@@ -43,13 +43,12 @@ object KHCore {
   /** Size of each non-empty (k,h)-core, k = 0 .. max core index. */
   def coreSizes(core: Array[Int]): Array[Int] = {
     if (core.isEmpty) return Array.empty
-    val kMax = core.max
-    val sizes = new Array[Int](kMax + 1)
-    // |C_k| = number of vertices with core index >= k.
-    core.foreach { c =>
-      var k = 0
-      while (k <= c) { sizes(k) += 1; k += 1 }
-    }
+    // |C_k| = number of vertices with core index >= k: a suffix sum over
+    // the per-index histogram.
+    val sizes = new Array[Int](core.max + 1)
+    core.foreach(c => sizes(c) += 1)
+    var k = sizes.length - 2
+    while (k >= 0) { sizes(k) += sizes(k + 1); k -= 1 }
     sizes
   }
 

@@ -8,12 +8,12 @@ import repro.core._
   * run as its own Spark task over the broadcast graph — the first
   * parallelization option discussed in §4.6.
   *
-  * Each task rebuilds V[kmin] = {v : UB(v) ≥ kmin}, cleans it with
-  * ImproveLB, peels it with CoreDecomp, and emits (vertex, core) pairs for
-  * core indices inside its interval; the driver merges them. The paper's
-  * noted trade-off applies: tasks lose the knowledge of already-assigned
-  * higher cores (those vertices are re-peeled as ordinary members), buying
-  * parallelism with some repeated work.
+  * Each task runs the interval routine of [[HLBUB]] (build V[kmin], clean it
+  * with ImproveLB, peel it with CoreDecomp) on a fresh state, and emits
+  * (vertex, core) pairs for core indices inside its interval; the driver
+  * merges them. The paper's noted trade-off applies: tasks lose the
+  * knowledge of already-assigned higher cores (those vertices are re-peeled
+  * as ordinary members), buying parallelism with some repeated work.
   */
 object SparkPartitionedDecomp {
 
@@ -25,30 +25,23 @@ object SparkPartitionedDecomp {
     if (n == 0) return CoreResult(Array.empty, 0, 0, 0)
     val sc = spark.sparkContext
     val budget = Budget.unlimited()
-    val engine = new SequentialEngine(n)
 
     // Bounds on the driver (one-shot; these are the partition keys).
-    val l1 = Bounds.lb1(g, h, engine, budget)
-    val lb2 = Bounds.lb2(g, h, l1, engine, budget)
-    val ub = Bounds.upperBound(g, h, engine, budget)
-
-    val lb0 = lb2.min
-    val uDesc = (ub.distinct :+ (lb0 - 1)).distinct.sortBy(-_)
-    val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
-    val parts = HLBUB.intervals(uDesc, sVal)
+    val plan = HLBUB.plan(g, h, new SequentialEngine(n), budget, s)
 
     val adjBc = sc.broadcast(g.adj)
-    val ubBc = sc.broadcast(ub)
-    val lb2Bc = sc.broadcast(lb2)
+    val planBc = sc.broadcast(plan)
     try {
-      val results = sc.parallelize(parts, math.min(parts.size, sc.defaultParallelism))
+      val results = sc.parallelize(plan.intervals, math.min(plan.intervals.size, sc.defaultParallelism))
         .map { case (kmin, kmax) =>
           val graph = new AdjGraph(n, adjBc.value)
           val taskBudget = Budget.unlimited()
-          val eng = new SequentialEngine(n)
-          val assignedPairs = runInterval(graph, h, kmin, kmax,
-                                          ubBc.value, lb2Bc.value, eng, taskBudget)
-          (assignedPairs, taskBudget.visits, taskBudget.bfsCount)
+          // A fresh state: no knowledge of other intervals' assignments.
+          val st = new HLBUB.State(n)
+          HLBUB.runInterval(graph, h, kmin, kmax, planBc.value, st,
+                            new SequentialEngine(n), taskBudget)
+          val pairs = (0 until n).collect { case v if st.assigned(v) => (v, st.core(v)) }.toArray
+          (pairs, taskBudget.visits, taskBudget.bfsCount)
         }
         .collect()
 
@@ -63,61 +56,7 @@ object SparkPartitionedDecomp {
       require(core.forall(_ >= 0), "some vertex left unassigned")
       CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
     } finally {
-      adjBc.destroy(); ubBc.destroy(); lb2Bc.destroy()
+      adjBc.destroy(); planBc.destroy()
     }
-  }
-
-  /** One independent interval: Alg. 6 cleaning + Alg. 3 peeling over
-    * G[V[kmin]], with no knowledge of other intervals' results. Returns the
-    * (vertex, core) assignments with kmin ≤ core ≤ kmax.
-    */
-  private def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int,
-                          ub: Array[Int], lb2: Array[Int],
-                          engine: HDegEngine, budget: Budget): Array[(Int, Int)] = {
-    val n = g.n
-    val alive = Array.tabulate(n)(v => ub(v) >= kmin)
-    val verts = (0 until n).filter(alive).toArray
-    if (verts.isEmpty) return Array.empty
-
-    // ImproveLB (Alg. 6), standalone: prune + Property-3 lower bound.
-    val degs = engine.batchHDeg(g, alive, verts, h, budget)
-    val deg = new Array[Int](n)
-    var minDeg = Int.MaxValue
-    verts.indices.foreach { i => deg(verts(i)) = degs(i); minDeg = math.min(minDeg, degs(i)) }
-    val lb3 = new Array[Int](n)
-    verts.foreach(v => lb3(v) = math.max(lb2(v), minDeg))
-    val bfs = new HBfs(n)
-    val queue = new java.util.ArrayDeque[Integer]()
-    val queued = new Array[Boolean](n)
-    verts.foreach(v => if (deg(v) < kmin) { queue.add(v); queued(v) = true })
-    while (!queue.isEmpty) {
-      val v: Int = queue.poll()
-      if (alive(v)) {
-        alive(v) = false
-        val cnt = bfs.run(g, alive, v, h, budget)
-        var j = 0
-        while (j < cnt) {
-          val u = bfs.nbrs(j)
-          deg(u) -= 1
-          if (deg(u) < kmin && !queued(u)) { queue.add(u); queued(u) = true }
-          j += 1
-        }
-      }
-    }
-
-    // Peel (Alg. 3). Without earlier intervals' assignments, every survivor
-    // starts at its lower bound.
-    val core = Array.fill(n)(-1)
-    val assigned = new Array[Boolean](n)
-    val setLB = new Array[Boolean](n)
-    val degArr = new Array[Int](n)
-    val buckets = new Buckets(n, math.max(0, n - 1))
-    val floor = math.max(0, kmin - 1)
-    (0 until n).foreach { v =>
-      if (alive(v)) { buckets.add(v, math.max(lb3(v), floor)); setLB(v) = true }
-    }
-    CoreDecomp.run(g, h, kmin, kmax, alive, buckets, setLB, degArr,
-                   core, assigned, engine, budget)
-    (0 until n).collect { case v if assigned(v) => (v, core(v)) }.toArray
   }
 }

@@ -2,30 +2,10 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Provided infrastructure: SynthData determinism and the DuckDB Oracle's
-  * ability to catch wrong results (not just run queries).
+/** Provided infrastructure: the DuckDB Oracle's ability to catch wrong
+  * results (not just run queries).
   */
 class InfraSpec extends SparkSpec {
-
-  test("SynthData.lineitem is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001, 1).agg(sum("l_quantity")).collect()(0).getDouble(0)
-    val b = SynthData.lineitem(spark, 0.001, 1).agg(sum("l_quantity")).collect()(0).getDouble(0)
-    assert(a == b)
-  }
-
-  test("SynthData tables have the expected cardinalities at sf=0.001") {
-    assert(SynthData.orders(spark, 0.001).count() == 1500)
-    assert(SynthData.customer(spark, 0.001).count() == 150)
-    assert(SynthData.part(spark, 0.001).count() == 200)
-  }
-
-  test("zipfKeys is skewed, uniformKeys is not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-    val u = SynthData.uniformKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-    assert(z > 3 * u, s"zipf top key $z should dominate uniform top key $u")
-  }
 
   test("Oracle passes on an equivalent aggregate") {
     import spark.implicits._

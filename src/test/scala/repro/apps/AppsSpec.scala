@@ -105,21 +105,21 @@ class AppsSpec extends AnyFunSuite {
     val g = GraphGen.communities(3, 15, 0.3, 0.03, 7)
     val pairs = Landmarks.samplePairs(g, 100, 1)
     val lm = Landmarks.fromMaxCore(g, 2, 5, 2)
-    val err = Landmarks.approximationError(g, lm, pairs)
+    val err = Landmarks.approximationError(g, lm, pairs, Landmarks.pairDistances(g, pairs))
     assert(err >= 0.0 && err.isFinite)
   }
 
   test("median estimator is exact on a clique (LB=0, UB=2, d=1 for every pair)") {
     val g = GraphGen.clique(10)
     val pairs = Landmarks.samplePairs(g, 50, 3)
-    val err = Landmarks.approximationError(g, Array(0), pairs)
+    val err = Landmarks.approximationError(g, Array(0), pairs, Landmarks.pairDistances(g, pairs))
     assert(err == 0.0)
   }
 
   test("on a star the center landmark's UB is exact (median error 0.5 on leaf pairs)") {
     val g = GraphGen.star(10)
     val leafPairs = Seq((1, 2), (3, 4), (5, 6))
-    val err = Landmarks.approximationError(g, Array(0), leafPairs)
+    val err = Landmarks.approximationError(g, Array(0), leafPairs, Seq(2, 2, 2))
     assert(math.abs(err - 0.5) < 1e-9) // median (0+2)/2 = 1 vs true d = 2
   }
 

@@ -111,6 +111,16 @@ class AlgorithmsSpec extends AnyFunSuite {
     }
   }
 
+  test("threaded engine raises BudgetExceeded from its worker threads") {
+    val g = GraphGen.communities(4, 30, 0.4, 0.01, 5)
+    val eng = new ThreadedEngine(g.n, threads = 4)
+    try {
+      intercept[BudgetExceeded] {
+        KHCore.decompose(g, 4, Algo.HBZ, Some(eng), new Budget(maxVisits = 2000))
+      }
+    } finally eng.shutdown()
+  }
+
   test("CoreResult helpers: maxCore, distinctCores, coreVertices, coreSizes") {
     val g = GraphGen.figure1
     val r = KHCore.decompose(g, 2)
