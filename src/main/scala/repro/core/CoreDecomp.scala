@@ -14,6 +14,9 @@ package repro.core
   *    has `core`/`assigned` set; vertices peeled below kmin are removed
   *    without assignment (their `setLB` is re-raised for later intervals).
   *
+  * `bfs` and `recompute` (length ≥ n) are the caller's scratch; the engine
+  * never uses `bfs`, so its neighbourhood arrays are read in place.
+  *
   * The `d(u,v) = h ⇒ decrement by 1` optimization (Alg. 3 lines 14–17)
   * avoids a BFS for neighbors at exactly distance h: no surviving shortest
   * path through the removed vertex can stay within distance h.
@@ -24,9 +27,8 @@ object CoreDecomp {
           alive: Array[Boolean], buckets: Buckets,
           setLB: Array[Boolean], deg: Array[Int],
           core: Array[Int], assigned: Array[Boolean],
-          engine: HDegEngine, budget: Budget): Unit = {
-    val bfs = new HBfs(g.n)
-    val recompute = new Array[Int](g.n)
+          engine: HDegEngine, budget: Budget,
+          bfs: HBfs, recompute: Array[Int]): Unit = {
     var k = math.max(0, kmin - 1)
     while (k <= kmax) {
       var v = buckets.pop(k)
@@ -43,10 +45,8 @@ object CoreDecomp {
           if (k >= kmin) { core(v) = k; assigned(v) = true }
           else setLB(v) = true // core < kmin: assigned by a later interval
           val cnt = bfs.run(g, alive, v, h, budget)
-          val nbrs = new Array[Int](cnt)
-          val dists = new Array[Int](cnt)
-          System.arraycopy(bfs.nbrs, 0, nbrs, 0, cnt)
-          System.arraycopy(bfs.nbrDist, 0, dists, 0, cnt)
+          val nbrs = bfs.nbrs
+          val dists = bfs.nbrDist
           alive(v) = false
           // Neighbors at distance < h need a real recomputation (batched so
           // the §4.6 engine can parallelize); distance-h ones just drop by 1.

@@ -9,7 +9,8 @@ package repro.core
   *   - `nbrDist(i)` is the shortest-path distance of `nbrs(i)` (≤ h).
   *
   * Every vertex enqueued (including the source) counts as one "visit" for
-  * the Table 3 point-to-point distance metric.
+  * the Table 3 point-to-point distance metric. Each run charges its visits
+  * and one BFS to the budget, then checks it once.
   */
 final class HBfs(n: Int) {
   private val seen = new Array[Int](n)
@@ -58,6 +59,127 @@ final class HBfs(n: Int) {
     budget.check()
     nbrCount
   }
+}
+
+/** Reusable scratchpad for up to 64 h-bounded BFS at once (MS-BFS, Then et
+  * al., "The More the Merrier", PVLDB 2014): lane i carries the BFS of one
+  * source as bit i of a `Long`, so a vertex reached by many of the sources
+  * has its adjacency scanned once per round instead of once per source.
+  *
+  * One instance per thread. Only alive vertices (and the sources) ever get
+  * a bit; `touched` lists them, so a reset costs O(touched), not O(n).
+  * Each lane's h-degree and visits are exactly those of [[HBfs.run]] from
+  * its source.
+  */
+final class MultiHBfs(n: Int) {
+  private val seen = new Array[Long](n)
+  // Lanes that reached a vertex in the previous round (`visit`) and in
+  // this one (`next`); the arrays swap roles every round.
+  private var visit = new Array[Long](n)
+  private var next = new Array[Long](n)
+  private val touched = new Array[Int](n)
+  private var frontier = new Array[Int](n)
+  private var reached = new Array[Int](n)
+  // Bit-sliced per-lane counters: bit i of planes(p) is bit p of the number
+  // of vertices lane i has seen, so adding a `seen` word is a carry chain.
+  private val planes = new Array[Long](32)
+
+  /** h-degrees of the `lanes` (1..64) sources `vertices(from until
+    * from + lanes)`, written to the same slots of `out`. A source is
+    * traversed regardless of its own alive flag, as in [[HBfs.run]], but no
+    * lane passes through another dead vertex. Charges the block's visits
+    * and `lanes` BFS to `budget`, then checks it once.
+    */
+  def run(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
+          h: Int, budget: Budget, out: Array[Int]): Unit = {
+    require(lanes >= 1 && lanes <= MultiHBfs.Lanes, s"lanes $lanes not in [1, ${MultiHBfs.Lanes}]")
+    var nTouched = 0
+    var nFrontier = 0
+    var i = 0
+    while (i < lanes) {
+      val s = vertices(from + i)
+      if (seen(s) == 0L) { touched(nTouched) = s; nTouched += 1; frontier(nFrontier) = s; nFrontier += 1 }
+      seen(s) |= 1L << i
+      visit(s) |= 1L << i
+      i += 1
+    }
+    var round = 1
+    while (round <= h && nFrontier > 0) {
+      val last = round == h
+      var nReached = 0
+      var k = 0
+      while (k < nFrontier) {
+        val u = frontier(k)
+        val bits = visit(u)
+        visit(u) = 0L
+        val a = g.adj(u)
+        var j = 0
+        while (j < a.length) {
+          val w = a(j)
+          if (alive(w)) {
+            val sw = seen(w)
+            val d = bits & ~sw
+            if (d != 0L) {
+              // Lanes in `d` reach w at distance `round`.
+              if (sw == 0L) { touched(nTouched) = w; nTouched += 1 }
+              seen(w) = sw | d
+              if (!last) {
+                if (next(w) == 0L) { reached(nReached) = w; nReached += 1 }
+                next(w) |= d
+              }
+            }
+          }
+          j += 1
+        }
+        k += 1
+      }
+      val v = visit; visit = next; next = v
+      val f = frontier; frontier = reached; reached = f
+      nFrontier = nReached
+      round += 1
+    }
+    i = 0
+    while (i < nFrontier) { visit(frontier(i)) = 0L; i += 1 }
+    // Every lane of seen(w) has w as one visit; all but the source are
+    // h-neighbours. Sum the lanes of each word into the counters and reset.
+    var visits = 0L
+    var top = 0 // planes in use
+    i = 0
+    while (i < nTouched) {
+      val w = touched(i)
+      var carry = seen(w)
+      seen(w) = 0L
+      visits += java.lang.Long.bitCount(carry)
+      var p = 0
+      while (carry != 0L) {
+        val c = planes(p)
+        planes(p) = c ^ carry
+        carry &= c
+        p += 1
+      }
+      if (p > top) top = p
+      i += 1
+    }
+    i = 0
+    while (i < lanes) { out(from + i) = -1; i += 1 }
+    var p = 0
+    while (p < top) {
+      var x = planes(p)
+      planes(p) = 0L
+      while (x != 0L) {
+        out(from + java.lang.Long.numberOfTrailingZeros(x)) += 1 << p
+        x &= x - 1
+      }
+      p += 1
+    }
+    budget.merge(visits, lanes)
+    budget.check()
+  }
+}
+
+object MultiHBfs {
+  /** Sources per block: one bit of a `Long` each. */
+  private[repro] final val Lanes = 64
 }
 
 object HBfs {

@@ -24,14 +24,36 @@ trait HDegEngine {
   def shutdown(): Unit = ()
 }
 
+/** Per-thread scratch of an engine: one per-vertex and one 64-lane h-BFS. */
+private final class EngineScratch(n: Int) {
+  val bfs = new HBfs(n)
+  val multi = new MultiHBfs(n)
+}
+
 private object EngineKernels {
-  /** Sequential kernel shared by the engines: h-degree of each vertex. */
+  /** Smallest block sent through the 64-lane kernel; smaller batches and
+    * tails, whose sources share less of their neighbourhoods, use
+    * per-vertex h-BFS. `KernelCrossoverBench` measures the time ratio of
+    * the two by batch size.
+    */
+  private final val MinLanes = 32
+
+  /** The h-degree kernel shared by the engines: blocks of up to 64 vertices
+    * go through [[MultiHBfs]], and a batch or tail under 32 vertices
+    * through per-vertex [[HBfs.run]]. Visits and BFS counts are the same
+    * either way.
+    */
   def hDegRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget,
-                bfs: HBfs, out: Array[Int], from: Int, until: Int): Unit = {
+                s: EngineScratch, out: Array[Int], from: Int, until: Int): Unit = {
     var i = from
+    while (until - i >= MinLanes) {
+      val lanes = math.min(MultiHBfs.Lanes, until - i)
+      s.multi.run(g, alive, vertices, i, lanes, h, budget, out)
+      i += lanes
+    }
     while (i < until) {
-      out(i) = bfs.run(g, alive, vertices(i), h, budget)
+      out(i) = s.bfs.run(g, alive, vertices(i), h, budget)
       i += 1
     }
   }
@@ -40,7 +62,8 @@ private object EngineKernels {
     * r-neighborhood of each vertex (including the vertex). */
   def nbrMaxRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                   r: Int, value: Array[Int], budget: Budget,
-                  bfs: HBfs, out: Array[Int], from: Int, until: Int): Unit = {
+                  s: EngineScratch, out: Array[Int], from: Int, until: Int): Unit = {
+    val bfs = s.bfs
     var i = from
     while (i < until) {
       val v = vertices(i)
@@ -62,45 +85,48 @@ private object EngineKernels {
 
 /** Single-threaded engine (the sequential versions of the algorithms). */
 final class SequentialEngine(n: Int) extends HDegEngine {
-  private val bfs = new HBfs(n)
+  private val scratch = new EngineScratch(n)
 
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
     val out = new Array[Int](vertices.length)
-    EngineKernels.hDegRange(g, alive, vertices, h, budget, bfs, out, 0, vertices.length)
+    EngineKernels.hDegRange(g, alive, vertices, h, budget, scratch, out, 0, vertices.length)
     out
   }
 
   override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                            r: Int, value: Array[Int], budget: Budget): Array[Int] = {
     val out = new Array[Int](vertices.length)
-    EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, bfs, out, 0, vertices.length)
+    EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, scratch, out, 0, vertices.length)
     out
   }
 }
 
-/** Multithreaded engine (§4.6): a fixed pool; each task owns a thread-local
-  * [[HBfs]] scratchpad and takes a contiguous chunk of the vertex batch.
-  * Falls back to sequential for small batches where fork-join overhead
-  * dominates.
+/** Multithreaded engine (§4.6): a fixed pool; each task owns thread-local
+  * scratch and takes a contiguous chunk of the vertex batch. Chunks are
+  * multiples of 64 vertices, so every chunk but a batch's last one fills
+  * whole 64-lane blocks. Batches that make a single chunk, or fall under
+  * the cutoff where fork-join overhead dominates, run on the caller.
   */
 final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availableProcessors())
     extends HDegEngine {
   private val pool = Executors.newFixedThreadPool(threads)
-  private val localBfs = ThreadLocal.withInitial[HBfs](() => new HBfs(n))
+  private val localScratch = ThreadLocal.withInitial[EngineScratch](() => new EngineScratch(n))
   private val minParallelBatch = 32
 
-  /** Runs `body(bfs, from, until)` over contiguous chunks of [0, len) on the
-    * pool (on the calling thread below `minParallelBatch`). A worker's
-    * failure, e.g. [[BudgetExceeded]], is rethrown as itself.
+  /** Runs `body(scratch, from, until)` over contiguous chunks of [0, len) on
+    * the pool (on the calling thread below `minParallelBatch` or for a
+    * single chunk). A worker's failure, e.g. [[BudgetExceeded]], is
+    * rethrown as itself.
     */
-  private def parallelFor(len: Int)(body: (HBfs, Int, Int) => Unit): Unit = {
-    if (len < minParallelBatch) return body(localBfs.get(), 0, len)
-    val chunk = math.max(16, len / (threads * 4))
+  private def parallelFor(len: Int)(body: (EngineScratch, Int, Int) => Unit): Unit = {
+    val blocks = (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes
+    val chunk = math.max(1, blocks) * MultiHBfs.Lanes
+    if (len < minParallelBatch || chunk >= len) return body(localScratch.get(), 0, len)
     val tasks = (0 until len by chunk).map { start =>
       val end = math.min(len, start + chunk)
       new Callable[Unit] {
-        override def call(): Unit = body(localBfs.get(), start, end)
+        override def call(): Unit = body(localScratch.get(), start, end)
       }
     }
     pool.invokeAll(tasks.asJava).asScala.foreach { f =>
@@ -112,8 +138,8 @@ final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availablePr
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
     val out = new Array[Int](vertices.length)
-    parallelFor(vertices.length) { (bfs, from, until) =>
-      EngineKernels.hDegRange(g, alive, vertices, h, budget, bfs, out, from, until)
+    parallelFor(vertices.length) { (scratch, from, until) =>
+      EngineKernels.hDegRange(g, alive, vertices, h, budget, scratch, out, from, until)
     }
     out
   }
@@ -121,8 +147,8 @@ final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availablePr
   override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                            r: Int, value: Array[Int], budget: Budget): Array[Int] = {
     val out = new Array[Int](vertices.length)
-    parallelFor(vertices.length) { (bfs, from, until) =>
-      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, bfs, out, from, until)
+    parallelFor(vertices.length) { (scratch, from, until) =>
+      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, scratch, out, from, until)
     }
     out
   }

@@ -29,7 +29,8 @@ object HLB {
     while (v < n) { buckets.add(v, lb(v)); v += 1 }
 
     CoreDecomp.run(g, h, kmin = 0, kmax = math.max(0, n - 1),
-                   alive, buckets, setLB, deg, core, assigned, engine, budget)
+                   alive, buckets, setLB, deg, core, assigned, engine, budget,
+                   new HBfs(n), new Array[Int](n))
 
     CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }

@@ -59,7 +59,8 @@ object HLBUB {
   /** Per-run state the interval routine reads and updates. Shared across a
     * whole run, it carries assigned cores (bucketed above kmax, never
     * re-peeled) and the monotone LB3 from interval to interval; a fresh one
-    * knows nothing of other intervals. `deg` is scratch for Alg. 6 and 3.
+    * knows nothing of other intervals. `deg`, `bfs`, `queue`, `queued` and
+    * `recompute` are scratch for Alg. 6 and 3, allocated once per run.
     */
   final class State(n: Int) {
     val core = Array.fill(n)(-1)
@@ -67,6 +68,10 @@ object HLBUB {
     val lb3 = new Array[Int](n)
     val setLB = new Array[Boolean](n)
     val deg = new Array[Int](n)
+    val bfs = new HBfs(n)
+    val queue = new Array[Int](n)
+    val queued = new Array[Boolean](n)
+    val recompute = new Array[Int](n)
   }
 
   /** Algorithm 6. Mutates `alive` (removing pruned vertices), `st.lb3`
@@ -96,18 +101,20 @@ object HLBUB {
       i += 1
     }
     // Cascading clean-up: upper-bounded h-degrees (decrement-by-1) below
-    // kmin can never reach core kmin inside this interval.
-    val bfs = new HBfs(g.n)
-    val queue = new java.util.ArrayDeque[Integer]()
-    val queued = new Array[Boolean](g.n)
+    // kmin can never reach core kmin inside this interval. FIFO over
+    // `st.queue`; each vertex is queued at most once per interval.
+    val bfs = st.bfs
+    val queue = st.queue
+    val queued = st.queued
+    var head = 0; var tail = 0
     i = 0
     while (i < verts.length) {
       val v = verts(i)
-      if (deg(v) < kmin) { queue.add(v); queued(v) = true }
+      if (deg(v) < kmin) { queue(tail) = v; tail += 1; queued(v) = true }
       i += 1
     }
-    while (!queue.isEmpty) {
-      val v: Int = queue.poll()
+    while (head < tail) {
+      val v = queue(head); head += 1
       if (alive(v)) {
         alive(v) = false
         val cnt = bfs.run(g, alive, v, h, budget)
@@ -115,11 +122,13 @@ object HLBUB {
         while (j < cnt) {
           val u = bfs.nbrs(j)
           deg(u) -= 1
-          if (deg(u) < kmin && !queued(u)) { queue.add(u); queued(u) = true }
+          if (deg(u) < kmin && !queued(u)) { queue(tail) = u; tail += 1; queued(u) = true }
           j += 1
         }
       }
     }
+    i = 0
+    while (i < tail) { queued(queue(i)) = false; i += 1 }
   }
 
   /** Alg. 4 lines 12–18 for one interval [kmin,kmax]: build V[kmin], clean
@@ -132,13 +141,20 @@ object HLBUB {
     val n = g.n
     // Line 12: V[kmin] = {v : UB(v) >= kmin}.
     val alive = Array.tabulate(n)(v => plan.ub(v) >= kmin)
-    val verts = (0 until n).filter(alive).toArray
+    // Two passes: an exact-size array, no boxing and no growth copies.
+    var size = 0
+    var v = 0
+    while (v < n) { if (alive(v)) size += 1; v += 1 }
+    val verts = new Array[Int](size)
+    size = 0
+    v = 0
+    while (v < n) { if (alive(v)) { verts(size) = v; size += 1 }; v += 1 }
     // Lines 13–14: clean + tighten (Alg. 6).
     improveLB(g, h, kmin, alive, verts, plan.lb2, st, engine, budget)
     // Lines 15–17: bucket survivors at their best-known floor.
     val buckets = new Buckets(n, math.max(0, n - 1))
     val floor = math.max(0, kmin - 1)
-    var v = 0
+    v = 0
     while (v < n) {
       if (alive(v)) {
         buckets.add(v, math.max(math.max(st.core(v), st.lb3(v)), floor))
@@ -148,7 +164,7 @@ object HLBUB {
     }
     // Line 18.
     CoreDecomp.run(g, h, kmin, kmax, alive, buckets, st.setLB, st.deg,
-                   st.core, st.assigned, engine, budget)
+                   st.core, st.assigned, engine, budget, st.bfs, st.recompute)
   }
 
   /** Full h-LB+UB decomposition: one [[State]] for the whole run, intervals

@@ -13,6 +13,12 @@ final class BudgetExceeded(msg: String) extends RuntimeException(msg)
   * visited across all h-bounded BFS traversals. Thread-safe (the
   * multithreaded engine of §4.6 updates it from worker threads).
   *
+  * Kernels charge work, then [[check]]: a per-vertex [[HBfs]] run once per
+  * BFS, a [[MultiHBfs]] block once per block of up to 64 BFS. A visit
+  * budget is therefore exceeded by at most one block's visits per thread
+  * before [[BudgetExceeded]] is raised; on one thread the raising block,
+  * and so the point of failure, is deterministic.
+  *
   * @param maxVisits   visit budget; exceeded ⇒ [[BudgetExceeded]]
   * @param deadlineNanos wall-clock deadline (System.nanoTime scale)
   */
@@ -35,7 +41,7 @@ final class Budget(val maxVisits: Long = Long.MaxValue,
   def visits: Long = visitsAdder.sum()
   def bfsCount: Long = bfsAdder.sum()
 
-  /** Cheap check, called once per BFS (not per vertex). */
+  /** Cheap check, called once per BFS or 64-lane block (not per vertex). */
   def check(): Unit = {
     if (visitsAdder.sum() > maxVisits)
       throw new BudgetExceeded(s"visit budget $maxVisits exceeded")

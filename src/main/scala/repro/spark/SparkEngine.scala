@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{AdjGraph, Budget, HBfs, HDegEngine, SequentialEngine}
+import repro.core.{AdjGraph, Budget, HDegEngine, SequentialEngine}
 
 /** [[HDegEngine]] that distributes batch h-degree computations over Spark
   * executors — the cluster-scale version of the §4.6 parallelization
@@ -29,16 +29,18 @@ final class SparkEngine(spark: SparkSession, g: AdjGraph,
     try {
       val rows = sc.parallelize(vertices.zipWithIndex.toSeq, sc.defaultParallelism)
         .mapPartitions { it =>
+          val (slice, idx) = it.toArray.unzip
           val graph = new AdjGraph(nLocal, adjB.value)
-          val bfs = new HBfs(nLocal)
           val b = Budget.unlimited() // per-task accounting, merged below
-          val out = it.map { case (v, i) => (i, bfs.run(graph, aliveBc.value, v, h, b)) }.toArray
-          Iterator((out, b.visits, b.bfsCount))
+          // The engines' own kernel: 64-lane blocks, per-vertex tail.
+          val out = new SequentialEngine(nLocal).batchHDeg(graph, aliveBc.value, slice, h, b)
+          Iterator((idx, out, b.visits, b.bfsCount))
         }
         .collect()
       val degs = new Array[Int](vertices.length)
-      rows.foreach { case (part, visits, bfsCount) =>
-        part.foreach { case (i, d) => degs(i) = d }
+      rows.foreach { case (idx, part, visits, bfsCount) =>
+        var j = 0
+        while (j < idx.length) { degs(idx(j)) = part(j); j += 1 }
         budget.merge(visits, bfsCount)
       }
       budget.check()

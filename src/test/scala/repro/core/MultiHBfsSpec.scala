@@ -1,0 +1,159 @@
+package repro.core
+
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
+import org.scalatest.funsuite.AnyFunSuite
+import repro.graphgen.GraphGen
+
+/** The 64-lane h-BFS kernel ([[MultiHBfs]]) and the engines that route
+  * batches through it must be indistinguishable from one per-vertex
+  * [[HBfs.run]] per source: same h-degrees, same visits, same BFS count,
+  * on any graph, alive mask and batch (dead and repeated sources included).
+  */
+class MultiHBfsSpec extends AnyFunSuite {
+
+  private val batchSizes = Seq(1, 31, 32, 63, 64, 65, 200)
+
+  /** A graph, an alive mask, h, and one batch per size in `batchSizes`. */
+  private final case class Case(g: AdjGraph, alive: Array[Boolean], h: Int, batches: Seq[Array[Int]]) {
+    override def toString: String = s"n=${g.n} m=${g.numEdges} h=$h dead=${alive.count(!_)}"
+  }
+
+  private val genCase: Gen[Case] = for {
+    n <- Gen.choose(2, 120)
+    extra <- Gen.choose(0, 3 * n)
+    seed <- Gen.choose(0L, 100000L)
+    hub <- Gen.oneOf(false, true)
+    h <- Gen.choose(1, 4)
+    deadFrac <- Gen.oneOf(0.0, 0.2, 0.5)
+    alive <- Gen.listOfN(n, Gen.choose(0.0, 1.0).map(_ >= deadFrac))
+    batches <- Gen.sequence[List[Array[Int]], Array[Int]](
+      batchSizes.map(k => Gen.listOfN(k, Gen.choose(0, n - 1)).map(_.toArray)))
+  } yield {
+    val g =
+      if (hub && n >= 4) GraphGen.ba(n, 3, 2, seed)
+      else GraphGen.er(n, math.min(n - 1 + extra, n.toLong * (n - 1) / 2).toInt, seed)
+    val mask = alive.toArray
+    // Every batch of two or more holds a dead source and a repeated one.
+    for (b <- batches if b.length >= 2) {
+      mask(b(0)) = false
+      b(b.length - 1) = b(0)
+    }
+    Case(g, mask, h, batches)
+  }
+
+  private def forAllSampled[A](gen: Gen[A], cases: Int = 40)(f: A => Unit): Unit = {
+    var seed = Seed(20261017L)
+    var i = 0
+    while (i < cases) {
+      gen.apply(Gen.Parameters.default, seed).foreach(f)
+      seed = seed.next
+      i += 1
+    }
+  }
+
+  /** (h-degrees, visits, bfsCount) of one per-vertex h-BFS per source. */
+  private def perVertex(g: AdjGraph, alive: Array[Boolean], batch: Array[Int], h: Int): (Seq[Int], Long, Long) = {
+    val bfs = new HBfs(g.n)
+    val b = Budget.unlimited()
+    val degs = batch.map(v => bfs.run(g, alive, v, h, b))
+    (degs.toSeq, b.visits, b.bfsCount)
+  }
+
+  private def viaEngine(e: HDegEngine, g: AdjGraph, alive: Array[Boolean], batch: Array[Int], h: Int): (Seq[Int], Long, Long) = {
+    val b = Budget.unlimited()
+    val degs = e.batchHDeg(g, alive, batch, h, b)
+    (degs.toSeq, b.visits, b.bfsCount)
+  }
+
+  test("property: one 64-lane block equals per-vertex h-BFS of each source") {
+    forAllSampled(genCase) { c =>
+      val ms = new MultiHBfs(c.g.n)
+      for (batch <- c.batches if batch.length <= 64) {
+        // Twice on one scratchpad: the reset after a block must be complete.
+        for (_ <- 1 to 2) {
+          val out = Array.fill(batch.length)(-1)
+          val b = Budget.unlimited()
+          ms.run(c.g, c.alive, batch, 0, batch.length, c.h, b, out)
+          assert((out.toSeq, b.visits, b.bfsCount) == perVertex(c.g, c.alive, batch, c.h),
+                 s"$c batch=${batch.length}")
+        }
+      }
+    }
+  }
+
+  test("property: a block at an offset writes only its own slots") {
+    forAllSampled(genCase, cases = 10) { c =>
+      val batch = c.batches.last // 200 vertices
+      val out = Array.fill(batch.length)(-7)
+      new MultiHBfs(c.g.n).run(c.g, c.alive, batch, 100, 40, c.h, Budget.unlimited(), out)
+      val expected = perVertex(c.g, c.alive, batch.slice(100, 140), c.h)._1
+      assert(out.slice(100, 140).toSeq == expected, c.toString)
+      assert(out.take(100).forall(_ == -7) && out.drop(140).forall(_ == -7), c.toString)
+    }
+  }
+
+  test("property: SequentialEngine batches equal per-vertex h-BFS (sizes 1 to 200)") {
+    forAllSampled(genCase) { c =>
+      val e = new SequentialEngine(c.g.n)
+      for (batch <- c.batches)
+        assert(viaEngine(e, c.g, c.alive, batch, c.h) == perVertex(c.g, c.alive, batch, c.h),
+               s"$c batch=${batch.length}")
+    }
+  }
+
+  test("property: ThreadedEngine batches equal SequentialEngine batches") {
+    val threaded = new ThreadedEngine(120, threads = 4)
+    try {
+      forAllSampled(genCase) { c =>
+        val seq = new SequentialEngine(c.g.n)
+        val big = Array.tabulate(1000)(i => c.batches.last(i % 200))
+        for (batch <- c.batches :+ big)
+          assert(viaEngine(threaded, c.g, c.alive, batch, c.h) == viaEngine(seq, c.g, c.alive, batch, c.h),
+                 s"$c batch=${batch.length}")
+      }
+    } finally threaded.shutdown()
+  }
+
+  test("MultiHBfs rejects an empty or wider-than-64 block") {
+    val g = GraphGen.path(100)
+    val ms = new MultiHBfs(g.n)
+    val all = Array.range(0, 100)
+    val alive = Array.fill(100)(true)
+    intercept[IllegalArgumentException](ms.run(g, alive, all, 0, 0, 2, Budget.unlimited(), new Array[Int](100)))
+    intercept[IllegalArgumentException](ms.run(g, alive, all, 0, 65, 2, Budget.unlimited(), new Array[Int](100)))
+  }
+
+  test("a visit budget raises BudgetExceeded from the 64-lane path, at most one block late") {
+    val g = GraphGen.communities(4, 30, 0.4, 0.01, 5)
+    val alive = Array.fill(g.n)(true)
+    val batch = Array.range(0, g.n)
+    val full = viaEngine(new SequentialEngine(g.n), g, alive, batch, 3)
+    // Visits of the heaviest 64-lane block bound the overshoot.
+    val block = batch.grouped(64).map(b => perVertex(g, alive, b, 3)._2).max
+    for (limit <- Seq(1L, 2000L, full._2 / 2, full._2 - 1)) {
+      val b = new Budget(maxVisits = limit)
+      intercept[BudgetExceeded](new SequentialEngine(g.n).batchHDeg(g, alive, batch, 3, b))
+      assert(b.visits > limit && b.visits <= limit + block, s"limit=$limit visits=${b.visits}")
+      // Deterministic: the same budget stops at the same block.
+      val again = new Budget(maxVisits = limit)
+      intercept[BudgetExceeded](new SequentialEngine(g.n).batchHDeg(g, alive, batch, 3, again))
+      assert(again.visits == b.visits)
+    }
+    val exact = new Budget(maxVisits = full._2)
+    new SequentialEngine(g.n).batchHDeg(g, alive, batch, 3, exact)
+    assert(exact.visits == full._2)
+  }
+
+  test("a visit budget raises BudgetExceeded from the threaded 64-lane path") {
+    val g = GraphGen.communities(4, 30, 0.4, 0.01, 5)
+    val alive = Array.fill(g.n)(true)
+    val batch = Array.tabulate(4 * g.n)(i => i % g.n)
+    val full = viaEngine(new SequentialEngine(g.n), g, alive, batch, 3)._2
+    val eng = new ThreadedEngine(g.n, threads = 4)
+    try {
+      for (limit <- Seq(1L, 2000L, full / 2, full - 1))
+        intercept[BudgetExceeded](eng.batchHDeg(g, alive, batch, 3, new Budget(maxVisits = limit)))
+    } finally eng.shutdown()
+  }
+}
