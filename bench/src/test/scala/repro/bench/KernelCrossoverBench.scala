@@ -7,7 +7,7 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Where the 64-lane h-BFS kernel ([[MultiHBfs]]) beats one [[HBfs.run]]
-  * per vertex. The engines send blocks of 32 or more vertices through the
+  * per vertex. The engines send blocks of 8 or more vertices through the
   * lanes; this suite makes that cutoff reproducible.
   *
   * On each of the three benchmark graphs it records recompute-shaped

@@ -34,12 +34,13 @@ private object EngineKernels {
   /** Smallest block sent through the 64-lane kernel; smaller batches and
     * tails, whose sources share less of their neighbourhoods, use
     * per-vertex h-BFS. `KernelCrossoverBench` measures the time ratio of
-    * the two by batch size.
+    * the two by batch size: the 64-lane kernel is ahead from 8–15-vertex
+    * batches on the comm, hub and road benchmark graphs, and behind below 8.
     */
-  private final val MinLanes = 32
+  private final val MinLanes = 8
 
   /** The h-degree kernel shared by the engines: blocks of up to 64 vertices
-    * go through [[MultiHBfs]], and a batch or tail under 32 vertices
+    * go through [[MultiHBfs]], and a batch or tail under 8 vertices
     * through per-vertex [[HBfs.run]]. Visits and BFS counts are the same
     * either way.
     */

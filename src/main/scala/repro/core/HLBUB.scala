@@ -13,7 +13,9 @@ package repro.core
   * vertices that provably cannot reach core kmin (power-graph-style
   * cascading decrements) and tightens every survivor's lower bound to LB3
   * via Property 3 (`min h-degree within any V' lower-bounds every core
-  * index in V'`).
+  * index in V'`). Unlike Alg. 6 as written, it measures only the *open*
+  * vertices of V[kmin], those no higher interval has assigned; see
+  * [[improveLB]] for why the result is unchanged.
   */
 object HLBUB {
 
@@ -60,7 +62,9 @@ object HLBUB {
     * whole run, it carries assigned cores (bucketed above kmax, never
     * re-peeled) and the monotone LB3 from interval to interval; a fresh one
     * knows nothing of other intervals. `deg`, `bfs`, `queue`, `queued` and
-    * `recompute` are scratch for Alg. 6 and 3, allocated once per run.
+    * `recompute` are scratch for Alg. 6 and 3, and `alive` and `buckets`
+    * the interval's G[V[kmin]] and bucket queue; all are allocated once per
+    * run, and `alive` / `buckets` are empty between intervals.
     */
   final class State(n: Int) {
     val core = Array.fill(n)(-1)
@@ -72,30 +76,52 @@ object HLBUB {
     val queue = new Array[Int](n)
     val queued = new Array[Boolean](n)
     val recompute = new Array[Int](n)
+    val alive = new Array[Boolean](n)
+    val buckets = new Buckets(n, math.max(0, n - 1))
   }
 
-  /** Algorithm 6. Mutates `alive` (removing pruned vertices), `st.lb3`
-    * (monotone max with the Property-3 bound) and `st.deg`.
+  /** Algorithm 6 over the open (unassigned) vertices `open` of V[kmin].
+    * Mutates `alive` (removing pruned vertices), `st.lb3` (monotone max
+    * with the Property-3 bound) and `st.deg`.
+    *
+    * Alg. 6 as written measures every vertex of V[kmin]. Skipping the
+    * vertices a higher interval has assigned leaves the pruned set, LB3 and
+    * so every later CoreDecomp step bit-identical:
+    *  - every open vertex has core ≤ kmax, because the higher intervals
+    *    assigned every larger core;
+    *  - an assigned vertex u has h-degree ≥ core(u) > kmax in G[V[kmin]],
+    *    since its (core(u),h)-core lies in V[core(u)] ⊆ V[kmin]. In the
+    *    cascade, `deg(u)` would be an upper bound of u's h-degree, which
+    *    stays ≥ core(u) as only vertices of core < kmin are removed, so u
+    *    would never be queued; the cascade skips it;
+    *  - if an open vertex exists, Property 3's minimum over V[kmin] is ≤ its
+    *    core ≤ kmax < every assigned h-degree, so an open vertex attains it
+    *    and LB3 is the same;
+    *  - assigned vertices sit in buckets above kmax with `setLB` raised, so
+    *    CoreDecomp never reads their `deg`.
+    * Only the assigned vertices' h-BFS disappear. A fresh [[State]] (the
+    * Spark path) has nothing assigned and runs Alg. 6 exactly as written.
     */
   private def improveLB(g: AdjGraph, h: Int, kmin: Int,
-                        alive: Array[Boolean], verts: Array[Int],
+                        alive: Array[Boolean], open: Array[Int],
                         lb2: Array[Int], st: State,
                         engine: HDegEngine, budget: Budget): Unit = {
-    if (verts.isEmpty) return
-    val degs = engine.batchHDeg(g, alive, verts, h, budget)
+    if (open.isEmpty) return
+    val degs = engine.batchHDeg(g, alive, open, h, budget)
     val deg = st.deg
     val lb3 = st.lb3
+    val assigned = st.assigned
     var minDeg = Int.MaxValue
     var i = 0
-    while (i < verts.length) {
-      deg(verts(i)) = degs(i)
+    while (i < open.length) {
+      deg(open(i)) = degs(i)
       if (degs(i) < minDeg) minDeg = degs(i)
       i += 1
     }
     // LB3 via Property 3: min h-degree within V[k] bounds every core in it.
     i = 0
-    while (i < verts.length) {
-      val v = verts(i)
+    while (i < open.length) {
+      val v = open(i)
       val cand = math.max(lb2(v), minDeg)
       if (cand > lb3(v)) lb3(v) = cand
       i += 1
@@ -108,8 +134,8 @@ object HLBUB {
     val queued = st.queued
     var head = 0; var tail = 0
     i = 0
-    while (i < verts.length) {
-      val v = verts(i)
+    while (i < open.length) {
+      val v = open(i)
       if (deg(v) < kmin) { queue(tail) = v; tail += 1; queued(v) = true }
       i += 1
     }
@@ -121,8 +147,10 @@ object HLBUB {
         var j = 0
         while (j < cnt) {
           val u = bfs.nbrs(j)
-          deg(u) -= 1
-          if (deg(u) < kmin && !queued(u)) { queue(tail) = u; tail += 1; queued(u) = true }
+          if (!assigned(u)) {
+            deg(u) -= 1
+            if (deg(u) < kmin && !queued(u)) { queue(tail) = u; tail += 1; queued(u) = true }
+          }
           j += 1
         }
       }
@@ -139,20 +167,24 @@ object HLBUB {
   def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int, plan: Plan, st: State,
                   engine: HDegEngine, budget: Budget): Unit = {
     val n = g.n
-    // Line 12: V[kmin] = {v : UB(v) >= kmin}.
-    val alive = Array.tabulate(n)(v => plan.ub(v) >= kmin)
-    // Two passes: an exact-size array, no boxing and no growth copies.
+    val alive = st.alive
+    val buckets = st.buckets
+    // Line 12: V[kmin] = {v : UB(v) >= kmin}; `open` holds its unassigned
+    // vertices, in two passes: an exact-size array, no boxing and no
+    // growth copies.
     var size = 0
     var v = 0
-    while (v < n) { if (alive(v)) size += 1; v += 1 }
-    val verts = new Array[Int](size)
+    while (v < n) {
+      if (plan.ub(v) >= kmin) { alive(v) = true; if (!st.assigned(v)) size += 1 }
+      v += 1
+    }
+    val open = new Array[Int](size)
     size = 0
     v = 0
-    while (v < n) { if (alive(v)) { verts(size) = v; size += 1 }; v += 1 }
+    while (v < n) { if (alive(v) && !st.assigned(v)) { open(size) = v; size += 1 }; v += 1 }
     // Lines 13–14: clean + tighten (Alg. 6).
-    improveLB(g, h, kmin, alive, verts, plan.lb2, st, engine, budget)
+    improveLB(g, h, kmin, alive, open, plan.lb2, st, engine, budget)
     // Lines 15–17: bucket survivors at their best-known floor.
-    val buckets = new Buckets(n, math.max(0, n - 1))
     val floor = math.max(0, kmin - 1)
     v = 0
     while (v < n) {
@@ -165,6 +197,12 @@ object HLBUB {
     // Line 18.
     CoreDecomp.run(g, h, kmin, kmax, alive, buckets, st.setLB, st.deg,
                    st.core, st.assigned, engine, budget, st.bfs, st.recompute)
+    // Only assigned vertices above kmax are left alive and bucketed.
+    v = 0
+    while (v < n) {
+      if (alive(v)) { alive(v) = false; buckets.remove(v) }
+      v += 1
+    }
   }
 
   /** Full h-LB+UB decomposition: one [[State]] for the whole run, intervals

@@ -12,7 +12,7 @@ import repro.graphgen.GraphGen
   */
 class MultiHBfsSpec extends AnyFunSuite {
 
-  private val batchSizes = Seq(1, 31, 32, 63, 64, 65, 200)
+  private val batchSizes = Seq(1, 7, 8, 9, 15, 31, 32, 63, 64, 65, 200)
 
   /** A graph, an alive mask, h, and one batch per size in `batchSizes`. */
   private final case class Case(g: AdjGraph, alive: Array[Boolean], h: Int, batches: Seq[Array[Int]]) {
