@@ -38,43 +38,13 @@ object Bounds {
     (l1, lb2(g, h, l1, engine, budget))
   }
 
-  /** Algorithm 5 (UpperBound). Returns per-vertex UB; charges all BFS work
-    * (initial h-degrees + one h-BFS per removal to re-discover the current
-    * h-neighborhood) to `budget`.
+  /** Algorithm 5 (UpperBound): [[CoreDecomp.peelHDegrees]] with every
+    * h-neighbour of a peeled vertex dropping by 1. Charges the initial
+    * h-degrees and one h-BFS per peeled vertex to `budget`.
     */
   def upperBound(g: AdjGraph, h: Int, engine: HDegEngine,
-                 budget: Budget = Budget.unlimited()): Array[Int] = {
-    val n = g.n
-    val alive = Array.fill(n)(true)
-    val ubdeg = new Array[Int](n)
-    val ub = new Array[Int](n)
-    val buckets = new Buckets(n, math.max(0, n - 1))
-    val bfs = new HBfs(n)
-
-    val init = engine.batchHDeg(g, alive, Array.range(0, n), h, budget)
-    var v = 0
-    while (v < n) { ubdeg(v) = init(v); buckets.add(v, ubdeg(v)); v += 1 }
-
-    var k = 0
-    while (k < n) {
-      var w = buckets.pop(k)
-      while (w >= 0) {
-        ub(w) = k
-        val cnt = bfs.run(g, alive, w, h, budget)
-        alive(w) = false
-        var i = 0
-        while (i < cnt) {
-          val u = bfs.nbrs(i)
-          ubdeg(u) -= 1
-          buckets.move(u, math.max(ubdeg(u), k))
-          i += 1
-        }
-        w = buckets.pop(k)
-      }
-      k += 1
-    }
-    ub
-  }
+                 budget: Budget = Budget.unlimited()): Array[Int] =
+    CoreDecomp.peelHDegrees(g, h, remeasureBelow = 1, engine, budget)
 
   /** The trivial upper bound: initial h-degree of every vertex. */
   def hDegUB(g: AdjGraph, h: Int, engine: HDegEngine,

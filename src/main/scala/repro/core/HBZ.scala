@@ -1,11 +1,9 @@
 package repro.core
 
-/** Algorithm 1 (h-BZ): the distance-generalized Batagelj–Zaveršnik baseline.
-  *
-  * Vertices are bucketed by h-degree; buckets are drained in increasing
-  * order. When vertex `v` is peeled at level `k`, its core index is `k` and
-  * the h-degree of every vertex in its h-neighborhood is *recomputed from
-  * scratch* (one h-BFS each) — the cost the later algorithms attack.
+/** Algorithm 1 (h-BZ): the distance-generalized Batagelj–Zaveršnik baseline,
+  * [[CoreDecomp.peelHDegrees]] with every h-neighbour of a peeled vertex
+  * re-measured from scratch (one h-BFS each), the cost the later
+  * algorithms attack.
   */
 object HBZ {
 
@@ -14,44 +12,7 @@ object HBZ {
                 budget: Budget = Budget.unlimited()): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
-    val n = g.n
-    val alive = Array.fill(n)(true)
-    val core = new Array[Int](n)
-    val deg = new Array[Int](n)
-    val buckets = new Buckets(n, math.max(0, n - 1))
-    val bfs = new HBfs(n)
-
-    // Lines 1–3: initial h-degrees (parallelizable block, §4.6).
-    val all = Array.range(0, n)
-    val init = engine.batchHDeg(g, alive, all, h, budget)
-    var v = 0
-    while (v < n) { deg(v) = init(v); buckets.add(v, deg(v)); v += 1 }
-
-    // Lines 4–11.
-    var k = 0
-    while (k < n) {
-      var w = buckets.pop(k)
-      while (w >= 0) {
-        core(w) = k
-        // h-neighborhood of w over the current alive set (w still alive).
-        val cnt = bfs.run(g, alive, w, h, budget)
-        val nbrs = new Array[Int](cnt)
-        System.arraycopy(bfs.nbrs, 0, nbrs, 0, cnt)
-        alive(w) = false
-        // Recompute each neighbor's h-degree (Alg. 1 line 9) — batched so
-        // the multithreaded engine can spread the BFS traversals.
-        val newDegs = engine.batchHDeg(g, alive, nbrs, h, budget)
-        var i = 0
-        while (i < cnt) {
-          val u = nbrs(i)
-          deg(u) = newDegs(i)
-          buckets.move(u, math.max(deg(u), k))
-          i += 1
-        }
-        w = buckets.pop(k)
-      }
-      k += 1
-    }
+    val core = CoreDecomp.peelHDegrees(g, h, remeasureBelow = h + 1, engine, budget)
     CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

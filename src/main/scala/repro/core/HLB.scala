@@ -16,22 +16,18 @@ object HLB {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
     val n = g.n
-    val alive = Array.fill(n)(true)
-    val core = Array.fill(n)(-1)
-    val assigned = new Array[Boolean](n)
-    val setLB = Array.fill(n)(true)
-    val deg = new Array[Int](n)
-    val buckets = new Buckets(n, math.max(0, n - 1))
+    val st = new CoreDecomp.State(n)
+    java.util.Arrays.fill(st.alive, true)
+    java.util.Arrays.fill(st.setLB, true)
 
     val l1 = Bounds.lb1(g, h, engine, budget)
     val lb = if (useLB1Only) l1 else Bounds.lb2(g, h, l1, engine, budget)
     var v = 0
-    while (v < n) { buckets.add(v, lb(v)); v += 1 }
+    while (v < n) { st.buckets.add(v, lb(v)); v += 1 }
 
-    CoreDecomp.run(g, h, kmin = 0, kmax = math.max(0, n - 1),
-                   alive, buckets, setLB, deg, core, assigned, engine, budget,
-                   new HBfs(n), new Array[Int](n))
+    CoreDecomp.run(g, h, kmin = 0, kmax = math.max(0, n - 1), remeasureBelow = h,
+                   st, engine, budget)
 
-    CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    CoreResult(st.core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

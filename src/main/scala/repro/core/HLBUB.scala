@@ -58,26 +58,17 @@ object HLBUB {
     Plan(lb2, ub, intervals(uDesc, sVal))
   }
 
-  /** Per-run state the interval routine reads and updates. Shared across a
-    * whole run, it carries assigned cores (bucketed above kmax, never
-    * re-peeled) and the monotone LB3 from interval to interval; a fresh one
-    * knows nothing of other intervals. `deg`, `bfs`, `queue`, `queued` and
-    * `recompute` are scratch for Alg. 6 and 3, and `alive` and `buckets`
-    * the interval's G[V[kmin]] and bucket queue; all are allocated once per
-    * run, and `alive` / `buckets` are empty between intervals.
+  /** The peeling state plus ImproveLB's scratch, for a whole run. Shared
+    * across intervals, it carries assigned cores (bucketed above kmax,
+    * never re-peeled) and the monotone LB3; a fresh one knows nothing of
+    * other intervals. `alive` and `buckets` hold the interval's G[V[kmin]]
+    * and are empty between intervals; `queue` and `queued` are Alg. 6's
+    * cascade FIFO.
     */
-  final class State(n: Int) {
-    val core = Array.fill(n)(-1)
-    val assigned = new Array[Boolean](n)
+  final class State(n: Int) extends CoreDecomp.State(n) {
     val lb3 = new Array[Int](n)
-    val setLB = new Array[Boolean](n)
-    val deg = new Array[Int](n)
-    val bfs = new HBfs(n)
     val queue = new Array[Int](n)
     val queued = new Array[Boolean](n)
-    val recompute = new Array[Int](n)
-    val alive = new Array[Boolean](n)
-    val buckets = new Buckets(n, math.max(0, n - 1))
   }
 
   /** Algorithm 6 over the open (unassigned) vertices `open` of V[kmin].
@@ -110,7 +101,7 @@ object HLBUB {
     val degs = engine.batchHDeg(g, alive, open, h, budget)
     val deg = st.deg
     val lb3 = st.lb3
-    val assigned = st.assigned
+    val core = st.core
     var minDeg = Int.MaxValue
     var i = 0
     while (i < open.length) {
@@ -147,7 +138,7 @@ object HLBUB {
         var j = 0
         while (j < cnt) {
           val u = bfs.nbrs(j)
-          if (!assigned(u)) {
+          if (core(u) < 0) {
             deg(u) -= 1
             if (deg(u) < kmin && !queued(u)) { queue(tail) = u; tail += 1; queued(u) = true }
           }
@@ -161,8 +152,8 @@ object HLBUB {
 
   /** Alg. 4 lines 12–18 for one interval [kmin,kmax]: build V[kmin], clean
     * and tighten it with ImproveLB, bucket the survivors at
-    * max(core, LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` and
-    * `st.assigned` for every vertex whose core index lies in the interval.
+    * max(core, LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` for
+    * every vertex whose core index lies in the interval.
     */
   def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int, plan: Plan, st: State,
                   engine: HDegEngine, budget: Budget): Unit = {
@@ -175,13 +166,13 @@ object HLBUB {
     var size = 0
     var v = 0
     while (v < n) {
-      if (plan.ub(v) >= kmin) { alive(v) = true; if (!st.assigned(v)) size += 1 }
+      if (plan.ub(v) >= kmin) { alive(v) = true; if (st.core(v) < 0) size += 1 }
       v += 1
     }
     val open = new Array[Int](size)
     size = 0
     v = 0
-    while (v < n) { if (alive(v) && !st.assigned(v)) { open(size) = v; size += 1 }; v += 1 }
+    while (v < n) { if (alive(v) && st.core(v) < 0) { open(size) = v; size += 1 }; v += 1 }
     // Lines 13–14: clean + tighten (Alg. 6).
     improveLB(g, h, kmin, alive, open, plan.lb2, st, engine, budget)
     // Lines 15–17: bucket survivors at their best-known floor.
@@ -195,8 +186,7 @@ object HLBUB {
       v += 1
     }
     // Line 18.
-    CoreDecomp.run(g, h, kmin, kmax, alive, buckets, st.setLB, st.deg,
-                   st.core, st.assigned, engine, budget, st.bfs, st.recompute)
+    CoreDecomp.run(g, h, kmin, kmax, remeasureBelow = h, st, engine, budget)
     // Only assigned vertices above kmax are left alive and bucketed.
     v = 0
     while (v < n) {

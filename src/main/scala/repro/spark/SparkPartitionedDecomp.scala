@@ -40,7 +40,7 @@ object SparkPartitionedDecomp {
           val st = new HLBUB.State(n)
           HLBUB.runInterval(graph, h, kmin, kmax, planBc.value, st,
                             new SequentialEngine(n), taskBudget)
-          val pairs = (0 until n).collect { case v if st.assigned(v) => (v, st.core(v)) }.toArray
+          val pairs = (0 until n).collect { case v if st.core(v) >= 0 => (v, st.core(v)) }.toArray
           (pairs, taskBudget.visits, taskBudget.bfsCount)
         }
         .collect()

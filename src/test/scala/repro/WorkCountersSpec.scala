@@ -5,11 +5,12 @@ import repro.graphgen.GraphGen
 import repro.spark.SparkPartitionedDecomp
 
 /** Pins the exact h-BFS work (Table 3 visits and BFS count) of the
-  * h-LB+UB interval paths, sequential and Spark. The core indices are
+  * bucket-peeling loops (h-BZ, h-LB, UpperBound) and of the h-LB+UB
+  * interval paths, sequential and Spark. The core indices are
   * checked elsewhere; these counters catch a change that keeps the result
   * but silently moves work between bounds, ImproveLB and peeling.
   *
-  * The recorded values are those of Alg. 6 as written, which measures every
+  * The h-LB+UB values recorded are those of Alg. 6 as written, which measures every
   * vertex of V[kmin]. The sequential paths skip the vertices a higher
   * interval has already assigned; their counters plus exactly that skipped
   * work must give the recorded values. Spark tasks know of no other
@@ -48,6 +49,37 @@ class WorkCountersSpec extends SparkSpec {
       for (v <- 0 until g.n if alive(v) && core(v) > kmax) bfs.run(g, alive, v, h, budget)
     }
     (budget.visits, budget.bfsCount)
+  }
+
+  /** (graph, path) -> (visits, bfsCount) of the three bucket-peeling
+    * loops, h-BZ (Alg. 1), h-LB's CoreDecomp (Alg. 3) and UpperBound
+    * (Alg. 5), recorded while each still had its own loop. */
+  private val expectedPeel: Map[(String, String), (Long, Long)] = Map(
+    ("figure1", "h-BZ")       -> (409L, 67L),
+    ("figure1", "h-LB")       -> (343L, 69L),
+    ("figure1", "UpperBound") -> (166L, 26L),
+    ("ba-120", "h-BZ")        -> (271190L, 3891L),
+    ("ba-120", "h-LB")        -> (87394L, 1610L),
+    ("ba-120", "UpperBound")  -> (14305L, 240L))
+
+  for ((name, h, g) <- graphs) {
+    def exact(algo: Algo)(b: Budget): Unit =
+      assert(KHCore.decompose(g, h, algo, budget = b).core.toSeq == NaiveCore.decompose(g, h).toSeq)
+    val peels: Seq[(String, Budget => Unit)] = Seq(
+      "h-BZ" -> exact(Algo.HBZ),
+      "h-LB" -> exact(Algo.HLB),
+      "UpperBound" -> (b => Bounds.upperBound(g, h, new SequentialEngine(g.n), b)))
+    for ((path, run) <- peels)
+      test(s"work counters of $path on $name (h=$h)") {
+        val b = Budget.unlimited()
+        run(b)
+        assert((b.visits, b.bfsCount) == expectedPeel((name, path)))
+      }
+  }
+
+  test("UpperBound values on figure1 (h=2)") {
+    val g = GraphGen.figure1
+    assert(Bounds.upperBound(g, 2, new SequentialEngine(g.n)).toSeq == Seq(4, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6))
   }
 
   for ((name, h, g) <- graphs) {
