@@ -21,23 +21,19 @@ object Chromatic {
     // reverse peeling order ≈ descending core index (ties arbitrary)
     val order = (0 until g.n).sortBy(v => -decomp.core(v))
     val color = Array.fill(g.n)(-1)
+    val ball = g.hBalls(h)
     for (v <- order) {
-      val dist = g.bfsDistances(v)
-      val used = (0 until g.n).collect {
-        case u if u != v && color(u) >= 0 && dist(u) >= 1 && dist(u) <= h => color(u)
-      }.toSet
+      val used = ball(v).map(color).filter(_ >= 0).toSet
       color(v) = Iterator.from(0).find(!used(_)).get
     }
     color
   }
 
   /** Is `color` a valid distance-h coloring of g? */
-  def isValidColoring(g: AdjGraph, h: Int, color: Array[Int]): Boolean =
-    (0 until g.n).forall { v =>
-      val dist = g.bfsDistances(v)
-      (0 until g.n).forall(u => u == v || color(u) != color(v) ||
-                                dist(u) < 0 || dist(u) > h)
-    }
+  def isValidColoring(g: AdjGraph, h: Int, color: Array[Int]): Boolean = {
+    val ball = g.hBalls(h)
+    (0 until g.n).forall(v => ball(v).forall(color(_) != color(v)))
+  }
 
   /** Exact distance-h chromatic number via backtracking on G^h — NP-hard,
     * only for the tiny graphs used to validate Theorem 1.

@@ -1,6 +1,6 @@
 package repro.club
 
-import repro.core.AdjGraph
+import repro.core.{AdjGraph, Budget, HBfs}
 
 /** Budget/outcome types for the NP-hard maximum h-club solvers. */
 final class ClubBudget(val maxNodes: Long = Long.MaxValue,
@@ -38,11 +38,19 @@ trait ClubSolver {
 object BnBClubSolver extends ClubSolver {
   override val name = "DBC*"
 
+  /** A search node not yet expanded: `size` members, built by `members`
+    * when the node is popped. A component node is skipped, without a
+    * tick, if it no longer beats the incumbent by then.
+    */
+  private final class Node(val size: Int, val component: Boolean, val members: () => Array[Boolean])
+
   override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: ClubBudget): Array[Int] = {
     var best: Array[Int] = Array.empty
     var bestSize = incumbentSize
     val drop = HClub.dropHeuristic(g, h, onStep = budget.checkTime)
     if (drop.length > bestSize) { best = drop; bestSize = drop.length }
+    val bfs = new HBfs(g.n)
+    val bfsBudget = Budget.unlimited()
 
     // Cascading bound prune: a member of a club of size > bestSize must
     // reach ≥ bestSize others within induced distance h of the *current*
@@ -59,7 +67,7 @@ object BnBClubSolver extends ClubSolver {
         while (v < g.n) {
           if (inSet(v)) {
             budget.checkTime()
-            if (HClub.reachableWithin(g, inSet, v, h) < bestSize) {
+            if (bfs.run(g, inSet, v, h, bfsBudget) < bestSize) {
               inSet(v) = false; size -= 1; changed = true
             }
           }
@@ -69,57 +77,41 @@ object BnBClubSolver extends ClubSolver {
       if (size <= bestSize) -1 else size
     }
 
-    // Connected components of the candidate set: a club's induced subgraph
-    // has diameter <= h, so it is connected and lives inside one component.
-    // Splitting prunes whole components below the incumbent and lets sparse
-    // instances (roads) splinter into trivial pieces.
-    def components(inSet: Array[Boolean]): List[Array[Int]] = {
-      val seen = new Array[Boolean](g.n)
-      var out = List.empty[Array[Int]]
-      var s = 0
-      while (s < g.n) {
-        if (inSet(s) && !seen(s)) {
-          val buf = Array.newBuilder[Int]
-          val q = new java.util.ArrayDeque[Integer]()
-          q.add(s); seen(s) = true
-          while (!q.isEmpty) {
-            val u: Int = q.poll()
-            buf += u
-            g.adj(u).foreach(w => if (inSet(w) && !seen(w)) { seen(w) = true; q.add(w) })
+    // Depth-first search on an explicit stack: road graphs branch once per
+    // vertex, deeper than a thread's call stack allows.
+    val stack = new java.util.ArrayDeque[Node]
+    stack.push(new Node(g.n, component = true, () => Array.fill(g.n)(true)))
+    while (!stack.isEmpty) {
+      val node = stack.pop()
+      if (!node.component || node.size > bestSize) {
+        budget.tick()
+        val inSet = node.members()
+        val size = prune(inSet, node.size)
+        if (size >= 0) {
+          // Connected components of the candidate set: a club's induced
+          // subgraph has diameter <= h, so it is connected and lives inside
+          // one component. Splitting prunes whole components below the
+          // incumbent and lets sparse instances (roads) splinter into
+          // trivial pieces. Largest first, ties in reverse discovery order.
+          val comp = g.components(inSet)
+          val sizes = new Array[Int](comp.max + 1)
+          comp.foreach(c => if (c >= 0) sizes(c) += 1)
+          if (sizes.length > 1)
+            sizes.indices.sortBy(c => (sizes(c), c)).foreach { c =>
+              stack.push(new Node(sizes(c), component = true, () => comp.map(_ == c)))
+            }
+          else HClub.violatingPair(g, inSet, h, bfs) match {
+            case None =>
+              best = (0 until g.n).filter(inSet).toArray
+              bestSize = size
+            case Some((u, w)) => // branch on S∖{u}, then S∖{w}
+              for (x <- Seq(w, u))
+                stack.push(new Node(size - 1, component = false,
+                                    () => { val s = inSet.clone(); s(x) = false; s }))
           }
-          out ::= buf.result()
         }
-        s += 1
-      }
-      out
-    }
-
-    def rec(inSet: Array[Boolean], size0: Int): Unit = {
-      budget.tick()
-      val size = prune(inSet, size0)
-      if (size < 0) return
-      val comps = components(inSet)
-      if (comps.length > 1) {
-        for (c <- comps.sortBy(-_.length) if c.length > bestSize) {
-          val mask = new Array[Boolean](g.n)
-          c.foreach(mask(_) = true)
-          rec(mask, c.length)
-        }
-        return
-      }
-      HClub.violatingPair(g, inSet, h) match {
-        case None =>
-          best = (0 until g.n).filter(inSet).toArray
-          bestSize = size
-        case Some((u, w)) =>
-          val left = inSet.clone(); left(u) = false
-          rec(left, size - 1)
-          val right = inSet.clone(); right(w) = false
-          rec(right, size - 1)
       }
     }
-
-    if (g.n > bestSize) rec(Array.fill(g.n)(true), g.n)
     best
   }
 }
@@ -139,12 +131,14 @@ object IterativeClubSolver extends ClubSolver {
     val alive = Array.fill(g.n)(true)
     // process high-h-degree vertices first: they anchor the largest clubs,
     // raising the incumbent early
-    val hdegs = repro.core.HBfs.allHDegrees(g, h)
+    val hdegs = HBfs.allHDegrees(g, h)
     val order = (0 until g.n).sortBy(v => -hdegs(v))
+    val bfs = new HBfs(g.n)
+    val bfsBudget = Budget.unlimited()
     for (v <- order if alive(v)) {
       budget.tick()
       if (hdegs(v) + 1 > bestSize) {
-        val ball = repro.core.HBfs.hNeighborhood(g, alive, v, h) :+ v
+        val ball = bfs.nbrs.take(bfs.run(g, alive, v, h, bfsBudget)) :+ v
         if (ball.length > bestSize) {
           val (sub, ids) = g.inducedOn(ball.toSeq)
           val found = BnBClubSolver.solve(sub, h, bestSize, budget)

@@ -1,10 +1,13 @@
 package repro.club
 
-import repro.core.AdjGraph
+import repro.core.{AdjGraph, Budget, HBfs}
 
 /** h-club primitives (Definition 5): S ⊆ V is an h-club iff the subgraph
   * *induced by S* has diameter ≤ h. Includes the classic DROP heuristic
   * (Bourjolly et al.) used as the branch-and-bound incumbent.
+  *
+  * Induced h-balls are [[HBfs.run]] with the member mask as the alive mask:
+  * its h-degree is the number of other members within induced distance h.
   */
 object HClub {
 
@@ -13,74 +16,40 @@ object HClub {
     */
   def isHClub(g: AdjGraph, inSet: Array[Boolean], h: Int): Boolean = {
     val members = (0 until g.n).filter(inSet)
-    if (members.size <= 1) return true
-    val target = members.size - 1
-    members.forall { s =>
-      reachableWithin(g, inSet, s, h) == target
-    }
-  }
-
-  /** Number of *other* members of `inSet` within induced distance ≤ h of s. */
-  def reachableWithin(g: AdjGraph, inSet: Array[Boolean], s: Int, h: Int): Int = {
-    val dist = new Array[Int](g.n)
-    java.util.Arrays.fill(dist, -1)
-    val q = new Array[Int](g.n)
-    var head = 0; var tail = 0
-    dist(s) = 0; q(tail) = s; tail += 1
-    var cnt = 0
-    while (head < tail) {
-      val u = q(head); head += 1
-      if (dist(u) < h) {
-        val a = g.adj(u); var i = 0
-        while (i < a.length) {
-          val w = a(i)
-          if (inSet(w) && dist(w) < 0) {
-            dist(w) = dist(u) + 1; q(tail) = w; tail += 1; cnt += 1
-          }
-          i += 1
-        }
-      }
-    }
-    cnt
+    val bfs = new HBfs(g.n)
+    val budget = Budget.unlimited()
+    members.forall(s => bfs.run(g, inSet, s, h, budget) == members.size - 1)
   }
 
   /** A violating pair in the induced subgraph (members at distance > h),
     * or None if `inSet` is an h-club. Scans from the member with the fewest
     * reachable peers so branching splits on the most-constrained vertex.
     */
-  def violatingPair(g: AdjGraph, inSet: Array[Boolean], h: Int): Option[(Int, Int)] = {
+  def violatingPair(g: AdjGraph, inSet: Array[Boolean], h: Int): Option[(Int, Int)] =
+    violatingPair(g, inSet, h, new HBfs(g.n))
+
+  /** [[violatingPair]] on the caller's scratch `bfs`. */
+  def violatingPair(g: AdjGraph, inSet: Array[Boolean], h: Int, bfs: HBfs): Option[(Int, Int)] = {
     val members = (0 until g.n).filter(inSet)
     if (members.size <= 1) return None
+    val budget = Budget.unlimited()
     var worst = -1
     var worstCnt = Int.MaxValue
     members.foreach { s =>
-      val c = reachableWithin(g, inSet, s, h)
+      val c = bfs.run(g, inSet, s, h, budget)
       if (c < worstCnt) { worstCnt = c; worst = s }
     }
     if (worstCnt == members.size - 1) return None
-    // find a member unreachable within h from `worst`
-    val dist = inducedDistances(g, inSet, worst)
-    members.find(t => t != worst && (dist(t) < 0 || dist(t) > h)).map(t => (worst, t))
+    // the first member outside `worst`'s induced h-ball
+    val ball = ballOf(g, inSet, worst, h, bfs, budget)
+    java.util.Arrays.sort(ball)
+    members.find(t => t != worst && java.util.Arrays.binarySearch(ball, t) < 0).map(t => (worst, t))
   }
 
-  /** Full induced-subgraph BFS distances from s (members only); -1 beyond. */
-  def inducedDistances(g: AdjGraph, inSet: Array[Boolean], s: Int): Array[Int] = {
-    val dist = new Array[Int](g.n)
-    java.util.Arrays.fill(dist, -1)
-    val q = new Array[Int](g.n)
-    var head = 0; var tail = 0
-    dist(s) = 0; q(tail) = s; tail += 1
-    while (head < tail) {
-      val u = q(head); head += 1
-      val a = g.adj(u); var i = 0
-      while (i < a.length) {
-        val w = a(i)
-        if (inSet(w) && dist(w) < 0) { dist(w) = dist(u) + 1; q(tail) = w; tail += 1 }
-        i += 1
-      }
-    }
-    dist
-  }
+  /** Members within induced distance 1..h of `s`, copied out of `bfs`. */
+  private def ballOf(g: AdjGraph, inSet: Array[Boolean], s: Int, h: Int,
+                     bfs: HBfs, budget: Budget): Array[Int] =
+    java.util.Arrays.copyOf(bfs.nbrs, bfs.run(g, inSet, s, h, budget))
 
   /** DROP heuristic: repeatedly delete the member that reaches the fewest
     * others within induced distance h, until an h-club remains.
@@ -92,7 +61,9 @@ object HClub {
   def dropHeuristic(g: AdjGraph, h: Int, onStep: () => Unit = () => ()): Array[Int] = {
     val inSet = Array.fill(g.n)(true)
     var size = g.n
-    val reach = Array.tabulate(g.n)(v => reachableWithin(g, inSet, v, h))
+    val bfs = new HBfs(g.n)
+    val budget = Budget.unlimited()
+    val reach = Array.tabulate(g.n)(v => bfs.run(g, inSet, v, h, budget))
     var continue = true
     while (size > 1 && continue) {
       onStep()
@@ -105,15 +76,10 @@ object HClub {
       if (worstCnt == size - 1) continue = false // already an h-club
       else {
         // members whose reach can change: exactly w's induced h-ball
-        val dist = inducedDistances(g, inSet, worst)
+        val ball = ballOf(g, inSet, worst, h, bfs, budget)
         inSet(worst) = false
         size -= 1
-        var u = 0
-        while (u < g.n) {
-          if (inSet(u) && dist(u) >= 1 && dist(u) <= h)
-            reach(u) = reachableWithin(g, inSet, u, h)
-          u += 1
-        }
+        ball.foreach(u => reach(u) = bfs.run(g, inSet, u, h, budget))
       }
     }
     (0 until g.n).filter(inSet).toArray

@@ -48,14 +48,28 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
     dist
   }
 
-  /** Connected components: vertex -> component id (0-based, by discovery). */
-  def components(): Array[Int] = {
+  /** h-balls over the whole graph: the returned function maps v to the
+    * vertices at distance 1..h from it, in [[HBfs]] visit order. It reuses
+    * one [[HBfs]], so each thread needs its own.
+    */
+  def hBalls(h: Int): Int => Array[Int] = {
+    val bfs = new HBfs(n)
+    val all = Array.fill(n)(true)
+    val budget = Budget.unlimited()
+    v => bfs.nbrs.take(bfs.run(this, all, v, h, budget))
+  }
+
+  /** Connected components of the subgraph induced by `mask`: vertex ->
+    * component id (0-based, by discovery from the lowest id), -1 outside
+    * the mask.
+    */
+  def components(mask: Array[Boolean] = Array.fill(n)(true)): Array[Int] = {
     val comp = Array.fill(n)(-1)
     val q = new Array[Int](n)
     var c = 0
     var s = 0
     while (s < n) {
-      if (comp(s) < 0) {
+      if (mask(s) && comp(s) < 0) {
         var head = 0; var tail = 0
         comp(s) = c; q(tail) = s; tail += 1
         while (head < tail) {
@@ -63,7 +77,7 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
           val a = adj(u); var i = 0
           while (i < a.length) {
             val w = a(i)
-            if (comp(w) < 0) { comp(w) = c; q(tail) = w; tail += 1 }
+            if (mask(w) && comp(w) < 0) { comp(w) = c; q(tail) = w; tail += 1 }
             i += 1
           }
         }

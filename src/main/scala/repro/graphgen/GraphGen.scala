@@ -127,13 +127,8 @@ object GraphGen {
     * ≤ h in g (Example 2's strawman; used in tests and for exact χ_h).
     */
   def powerGraph(g: AdjGraph, h: Int): AdjGraph = {
-    val edges = mutable.ArrayBuffer.empty[(Int, Int)]
-    for (v <- 0 until g.n) {
-      val dist = g.bfsDistances(v)
-      for (u <- v + 1 until g.n)
-        if (dist(u) >= 1 && dist(u) <= h) edges += ((v, u))
-    }
-    AdjGraph.fromEdges(g.n, edges)
+    val ball = g.hBalls(h)
+    AdjGraph.fromEdges(g.n, for (v <- 0 until g.n; u <- ball(v) if v < u) yield (v, u))
   }
 
   /** Uniform random connected graph for property sweeps: ER conditioned on

@@ -7,33 +7,32 @@ import repro.core.{AdjGraph, Budget, HDegEngine, SequentialEngine}
   * executors — the cluster-scale version of the §4.6 parallelization
   * ("give different h-BFS traversals to different processors").
   *
-  * The CSR adjacency is broadcast once per engine instance; the (mutable)
-  * alive mask is shipped per batch. Only large batches go through Spark —
-  * single-vertex updates during peeling stay local, where they belong.
+  * The graph is broadcast once per engine instance, and the engine serves
+  * only that graph; the (mutable) alive mask is shipped per batch. Only
+  * large batches go through Spark — single-vertex updates during peeling
+  * stay local, where they belong.
   */
 final class SparkEngine(spark: SparkSession, g: AdjGraph,
                         minDistributedBatch: Int = 512) extends HDegEngine {
   private val sc = spark.sparkContext
-  private val adjBc = sc.broadcast(g.adj)
-  private val n = g.n
-  private val local = new SequentialEngine(n)
+  private val graphBc = sc.broadcast(g)
+  private val local = new SequentialEngine(g.n)
 
   override def batchHDeg(g2: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
-    require(g2.n == n, "SparkEngine is bound to the graph it was built for")
+    require(g2 eq g, "SparkEngine is bound to the graph it was built for")
     if (vertices.length < minDistributedBatch)
       return local.batchHDeg(g2, alive, vertices, h, budget)
     val aliveBc = sc.broadcast(alive)
-    val adjB = adjBc
-    val nLocal = n
+    val graphB = graphBc
     try {
       val rows = sc.parallelize(vertices.zipWithIndex.toSeq, sc.defaultParallelism)
         .mapPartitions { it =>
           val (slice, idx) = it.toArray.unzip
-          val graph = new AdjGraph(nLocal, adjB.value)
+          val graph = graphB.value
           val b = Budget.unlimited() // per-task accounting, merged below
           // The engines' own kernel: 64-lane blocks, per-vertex tail.
-          val out = new SequentialEngine(nLocal).batchHDeg(graph, aliveBc.value, slice, h, b)
+          val out = new SequentialEngine(graph.n).batchHDeg(graph, aliveBc.value, slice, h, b)
           Iterator((idx, out, b.visits, b.bfsCount))
         }
         .collect()
@@ -53,5 +52,5 @@ final class SparkEngine(spark: SparkSession, g: AdjGraph,
     // LB2 batches are one-shot and cheap relative to peeling; keep local.
     local.batchNbrMax(g2, alive, vertices, r, value, budget)
 
-  override def shutdown(): Unit = adjBc.destroy()
+  override def shutdown(): Unit = graphBc.destroy()
 }

@@ -29,12 +29,12 @@ object SparkPartitionedDecomp {
     // Bounds on the driver (one-shot; these are the partition keys).
     val plan = HLBUB.plan(g, h, new SequentialEngine(n), budget, s)
 
-    val adjBc = sc.broadcast(g.adj)
+    val graphBc = sc.broadcast(g)
     val planBc = sc.broadcast(plan)
     try {
       val results = sc.parallelize(plan.intervals, math.min(plan.intervals.size, sc.defaultParallelism))
         .map { case (kmin, kmax) =>
-          val graph = new AdjGraph(n, adjBc.value)
+          val graph = graphBc.value
           val taskBudget = Budget.unlimited()
           // A fresh state: no knowledge of other intervals' assignments.
           val st = new HLBUB.State(n)
@@ -56,7 +56,7 @@ object SparkPartitionedDecomp {
       require(core.forall(_ >= 0), "some vertex left unassigned")
       CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
     } finally {
-      adjBc.destroy(); planBc.destroy()
+      graphBc.destroy(); planBc.destroy()
     }
   }
 }

@@ -19,6 +19,24 @@ class AppsSpec extends AnyFunSuite {
       assert(Chromatic.isValidColoring(g, h, color))
     }
 
+  // Reference greedy colours and G^h edge counts: the colours pin the
+  // colouring order and tie-breaking, not just the number of colours.
+  private val pinnedColorings = Seq(
+    ("figure1", 2, "4,3,1,0,0,1,1,2,3,4,4,5,5", 49),
+    ("figure1", 3, "0,1,2,3,0,4,1,5,6,7,8,9,10", 74),
+    ("rc40-1", 2, "0,0,0,3,0,0,2,1,2,0,0,0,2,0,4,1,4,1,2,4,3,1,2,4,1,1,3,2,0,1,5,4,4,1,5,6,3,6", 148),
+    ("rc40-1", 3, "0,0,1,3,1,6,2,0,3,2,0,1,0,2,4,5,5,6,6,1,7,1,8,9,0,8,4,2,4,1,10,9,10,5,8,11,3,7", 304),
+    ("rc40-2", 2, "0,0,1,0,3,1,2,3,1,2,0,2,3,0,0,1,4,1,1,2,3,0,2,4,3,5,4,4,1,6,5,2,1,7,8", 159),
+    ("rc40-2", 3, "3,0,1,2,3,2,3,2,1,1,0,6,4,0,5,5,6,6,1,7,8,1,2,8,7,9,10,0,2,11,12,7,1,13,14", 313))
+
+  for ((name, h, colors, powerEdges) <- pinnedColorings)
+    test(s"pinned greedy colours and G^h edge count ($name, h=$h)") {
+      val g = if (name == "figure1") GraphGen.figure1
+              else GraphGen.randomConnected(40, 2.5, name.stripPrefix("rc40-").toLong)
+      assert(Chromatic.greedyColoring(g, h).mkString(",") == colors)
+      assert(GraphGen.powerGraph(g, h).numEdges == powerEdges)
+    }
+
   for (seed <- 1 to 8; h <- 2 to 3)
     test(s"Theorem 1: exact chi_h <= 1 + h-degeneracy (seed $seed, h=$h)") {
       val g = GraphGen.randomConnected(11, 2.2, 10 + seed)

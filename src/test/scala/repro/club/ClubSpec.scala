@@ -48,8 +48,8 @@ class ClubSpec extends AnyFunSuite {
     assert(HClub.violatingPair(g, Array.fill(6)(true), 2).isDefined)
     assert(HClub.violatingPair(g, Array.fill(6)(true), 3).isEmpty)
     val (u, w) = HClub.violatingPair(g, Array.fill(6)(true), 2).get
-    val d = HClub.inducedDistances(g, Array.fill(6)(true), u)(w)
-    assert(d > 2)
+    // every vertex is a member, so induced distance = graph distance
+    assert(g.bfsDistances(u)(w) > 2)
   }
 
   test("dropHeuristic always returns a valid h-club") {
@@ -89,11 +89,54 @@ class ClubSpec extends AnyFunSuite {
       assert(a.length == b.length)
     }
 
+  // Reference member lists of DROP, DBC* and ITDBC*: a change to the search
+  // order or tie-breaking shows up here, not just a change of club size.
+  private val pinnedClubs = Seq(
+    ("figure1", 2, "6,7,8,10,11", "4,6,7,8,9,12", "4,6,7,8,9,12"),
+    ("figure1", 3, "2,3,4,5,6,7,8,9,10,11,12", "2,3,4,5,6,7,8,9,10,11,12",
+     "2,3,4,5,6,7,8,9,10,11,12"),
+    ("rc40-1", 2, "1,17,20,22,23,30,35", "1,17,20,22,23,30,35", "1,17,20,22,23,30,35"),
+    ("rc40-1", 3, "1,8,9,14,15,17,20,22,23,30,35", "1,8,9,14,15,17,20,22,23,30,35",
+     "1,8,9,14,15,17,20,22,23,30,35"),
+    ("rc40-2", 2, "5,12,14,19,23,29,30", "5,12,14,19,23,29,30", "5,12,14,19,23,29,30"),
+    ("rc40-2", 3, "1,6,9,12,15,20,25,26,29,31,33,34", "1,5,6,9,12,14,16,19,23,25,26,29,30,34",
+     "1,5,6,9,12,14,16,19,23,25,26,29,30,34"),
+    ("rc40-3", 2, "8,16,20,22,25,29", "8,20,22,23,25,27,29", "0,4,12,14,16,22,28"),
+    ("rc40-3", 3, "1,4,8,14,16,19,20,21,22,23,25,27,28,29",
+     "1,2,4,8,10,14,15,16,19,20,21,22,25,27,28,29", "1,2,4,8,10,14,15,16,19,20,21,22,25,27,28,29"))
+
+  for ((name, h, drop, dbc, itdbc) <- pinnedClubs)
+    test(s"pinned DROP, DBC* and ITDBC* members ($name, h=$h)") {
+      val g = if (name == "figure1") GraphGen.figure1
+              else GraphGen.randomConnected(40, 2.5, name.stripPrefix("rc40-").toLong)
+      assert(HClub.dropHeuristic(g, h).mkString(",") == drop)
+      assert(BnBClubSolver.solve(g, h, 0, new ClubBudget()).mkString(",") == dbc)
+      assert(IterativeClubSolver.solve(g, h, 0, new ClubBudget()).mkString(",") == itdbc)
+    }
+
+  test("pinned DBC* members on the amzn analog (h=2)") {
+    val club = BnBClubSolver.solve(repro.bench.Datasets("amzn"), 2, 0, new ClubBudget())
+    assert(club.mkString(",") == "294,413,1456,1609,1610,1611,1612,1613,2469,2779")
+  }
+
   test("solver budget raises ClubTimeout") {
     val g = GraphGen.communities(3, 15, 0.3, 0.05, 3)
     intercept[ClubTimeout] {
       BnBClubSolver.solve(g, 2, 0, new ClubBudget(maxNodes = 5))
     }
+  }
+
+  test("DBC* searches road graphs deeper than a small thread stack") {
+    // Branching removes one vertex per level, so the search on a road
+    // graph is about as deep as the graph is large.
+    val budget = new ClubBudget(maxNodes = 2000)
+    var outcome: Throwable = null
+    val t = new Thread(null, () => {
+      try BnBClubSolver.solve(repro.bench.Datasets("rnTX"), 2, 0, budget)
+      catch { case e: Throwable => outcome = e }
+    }, "dbc-small-stack", 128L << 10)
+    t.start(); t.join()
+    assert(outcome.isInstanceOf[ClubTimeout], s"got $outcome")
   }
 
   for (seed <- 1 to 6; h <- 2 to 3)

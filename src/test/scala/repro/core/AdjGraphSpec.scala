@@ -42,6 +42,18 @@ class AdjGraphSpec extends AnyFunSuite {
     assert(c(5) != c(0) && c(5) != c(3))
   }
 
+  test("components(mask) labels the components of the induced subgraph") {
+    for (seed <- 1 to 20) {
+      val g = GraphGen.er(40, 30 + seed, seed)
+      val rnd = new scala.util.Random(seed)
+      val mask = Array.fill(g.n)(rnd.nextDouble() < 0.7)
+      val comp = g.components(mask)
+      val (sub, ids) = g.induced(mask)
+      assert(ids.indices.map(i => comp(ids(i))) == sub.components().toSeq, s"seed=$seed")
+      assert((0 until g.n).forall(v => mask(v) || comp(v) == -1), s"seed=$seed")
+    }
+  }
+
   test("diameterExact of canned graphs") {
     assert(GraphGen.path(6).diameterExact() == 5)
     assert(GraphGen.cycle(8).diameterExact() == 4)

@@ -57,6 +57,17 @@ class SparkLayerSpec extends SparkSpec {
     } finally eng.shutdown()
   }
 
+  test("SparkEngine rejects a graph other than its own") {
+    val g = GraphGen.cycle(40)
+    val other = GraphGen.path(40) // same n, different edges
+    val eng = new SparkEngine(spark, g, minDistributedBatch = 8)
+    try {
+      intercept[IllegalArgumentException] {
+        eng.batchHDeg(other, Array.fill(40)(true), Array.range(0, 40), 2, Budget.unlimited())
+      }
+    } finally eng.shutdown()
+  }
+
   test("full decomposition with the SparkEngine plugged in matches naive") {
     val g = GraphGen.randomConnected(70, 3.5, 31)
     val expected = NaiveCore.decompose(g, 2).toSeq
