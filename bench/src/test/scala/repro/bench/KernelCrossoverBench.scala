@@ -111,7 +111,7 @@ class KernelCrossoverBench extends AnyFunSuite {
     val rows = mutable.ArrayBuffer.empty[Seq[String]]
     for ((name, h, g) <- graphs) {
       val rec = new Recorder(g.n, h)
-      HLB.decompose(g, h, rec)
+      KHCore.decompose(g, h, Algo.HLB, Some(rec))
       val bfs = new HBfs(g.n)
       val ms = new MultiHBfs(g.n)
       val all = Seq(Batch(Array.fill(g.n)(true), Array.range(0, g.n)))

@@ -16,7 +16,7 @@ object DecompCache {
       val eng =
         if (Datasets.threadedNames(name)) new ThreadedEngine(g.n)
         else new SequentialEngine(g.n)
-      try HLBUB.decompose(g, h, eng).core
+      try KHCore.decompose(g, h, Algo.HLBUB(), Some(eng)).core
       finally eng.shutdown()
     })
   }

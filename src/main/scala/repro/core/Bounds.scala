@@ -44,7 +44,7 @@ object Bounds {
     */
   def upperBound(g: AdjGraph, h: Int, engine: HDegEngine,
                  budget: Budget = Budget.unlimited()): Array[Int] =
-    CoreDecomp.peelHDegrees(g, h, remeasureBelow = 1, engine, budget)
+    CoreDecomp.peelHDegrees(g, h, remeasureBelow = 1, engine, budget).core
 
   /** The trivial upper bound: initial h-degree of every vertex. */
   def hDegUB(g: AdjGraph, h: Int, engine: HDegEngine,

@@ -5,21 +5,43 @@ package repro.core
   * h-BZ (Alg. 1), CoreDecomp (Alg. 3, for h-LB and each h-LB+UB interval)
   * and UpperBound (Alg. 5).
   *
-  * The loop drains the buckets in increasing order. A popped vertex whose
-  * `setLB` flag is raised sits at a lower bound: its h-degree is measured
-  * and it is re-bucketed (Alg. 3 lines 4–7). Any other popped vertex is
-  * peeled at level k, and each h-neighbour u (not itself at a lower bound)
-  * at distance `d(u,v)` is updated:
-  *  - `d < remeasureBelow`: its h-degree is re-measured by one h-BFS, in a
-  *    batch the engine may parallelize (§4.6);
-  *  - otherwise: its h-degree drops by 1.
+  * The loop drains the buckets in increasing order, in rounds. A round pops
+  * a set P from bucket k: the whole bucket (level-synchronous, the
+  * bulk-synchronous k-core peel of ParK, Dasari et al., IEEE BigData 2014,
+  * and PKC, Kabir & Madduri, IPDPSW 2017), or only its first vertex
+  * (`paperLiteral`, Alg. 1 / 3 as written).
+  *  - If a vertex of P has its `setLB` flag raised, it sits at a lower
+  *    bound: all such vertices are measured in one engine batch, P is
+  *    re-bucketed and the level is popped again (Alg. 3 lines 4–7).
+  *  - Otherwise every f ∈ P is peeled at level k. One h-BFS from each f,
+  *    with all of P still alive, discovers its h-neighbours u (skipping P
+  *    and vertices at a lower bound) at distance `d(u,f)`:
+  *    - `d < remeasureBelow`: u is flagged; once P is removed, every flagged
+  *      vertex is re-measured by one h-BFS, in one batch the engine may
+  *      parallelize (§4.6);
+  *    - otherwise: u's h-degree drops by 1 right away.
+  *
   * The three callers differ only in `remeasureBelow`:
   *  - h + 1 (h-BZ): every h-neighbour is re-measured (Alg. 1 line 9);
-  *  - h (CoreDecomp): neighbours at distance h drop by 1, since no
-  *    surviving shortest path through the removed vertex can stay within
-  *    distance h (Alg. 3 lines 14–17);
+  *  - h (CoreDecomp): neighbours at distance h drop by 1 (Alg. 3 lines
+  *    14–17);
   *  - 1 (UpperBound): every h-neighbour drops by 1, the core decomposition
   *    of the implicit power graph, an upper bound.
+  * h-BZ and UpperBound always peel one vertex per round.
+  *
+  * Why a level-synchronous round is exact. Let A be the alive set when the
+  * round starts; by induction, A contains the (k+1,h)-core C_{k+1}.
+  *  - Each f ∈ P has h-degree ≤ k in A. h-degree is monotone under vertex
+  *    deletion, so f would have h-degree ≤ k in C_{k+1} too: f ∉ C_{k+1}.
+  *    The usual Batagelj–Zaveršnik argument gives core(f) ≥ k, so
+  *    core(f) = k, and A \ P still contains C_{k+1}.
+  *  - The −1-per-f update is exact when every f ∈ P that reaches u does so
+  *    at distance h. A shortest path of length ≤ h from u in A that passed
+  *    through some f ∈ P would reach f at distance < h, so it must end at f:
+  *    removing P loses u exactly the vertices of P within distance h, one
+  *    per discovery h-BFS that reaches u. A flagged vertex's `deg` is
+  *    overwritten by its re-measure, so no per-vertex distance or count is
+  *    kept.
   *
   * Caller contract:
   *  - `st.alive` masks the subgraph to peel (it is mutated);
@@ -30,15 +52,22 @@ package repro.core
   *  - alive vertices whose core index was assigned by an earlier interval
   *    must be bucketed at `core(v)` (> kmax), so they are never popped;
   *  - on return, every alive vertex whose core index lies in [kmin, kmax]
-  *    has `core` set; vertices peeled below kmin are removed without
-  *    assignment (their `setLB` is re-raised for later intervals).
+  *    has `core` set and is appended to `order`; vertices peeled below kmin
+  *    are removed without assignment (their `setLB` is re-raised for later
+  *    intervals).
   */
 object CoreDecomp {
 
   /** Peeling state over n vertices: the alive mask, bucket queue, current
-    * h-degrees, core indices (−1 = unassigned), lower-bound flags and the
-    * h-BFS that discovers a peeled vertex's h-neighbourhood. The engine
+    * h-degrees, core indices (−1 = unassigned), lower-bound flags, the
+    * assigned vertices in assignment order (`order(0 until assigned)`) and
+    * the h-BFS that discovers a peeled vertex's h-neighbourhood. The engine
     * never uses `bfs`, so the loop reads its neighbourhood in place.
+    *
+    * `queue` and `queued` are a vertex list and its membership marks, empty
+    * between rounds: a round's P followed by the vertices it flags for
+    * re-measure (the two are disjoint). HLBUB's ImproveLB reuses them as
+    * its cascade FIFO.
     */
   class State(n: Int) {
     val alive = new Array[Boolean](n)
@@ -46,81 +75,113 @@ object CoreDecomp {
     val deg = new Array[Int](n)
     val core = Array.fill(n)(-1)
     val setLB = new Array[Boolean](n)
+    val order = new Array[Int](n)
+    var assigned = 0
     val bfs = new HBfs(n)
+    val queue = new Array[Int](n)
+    val queued = new Array[Boolean](n)
   }
 
   /** h-BZ (`remeasureBelow = h + 1`) and UpperBound (`remeasureBelow = 1`):
     * bucket every vertex at its h-degree, from one all-vertex batch, and
-    * peel [0, n−1]. Returns the core index (or UB) of every vertex.
+    * peel [0, n−1] one vertex per round. Returns the state, whose `core`
+    * holds the core index (or UB) of every vertex.
     */
   private[core] def peelHDegrees(g: AdjGraph, h: Int, remeasureBelow: Int,
-                                 engine: HDegEngine, budget: Budget): Array[Int] = {
+                                 engine: HDegEngine, budget: Budget): State = {
     val n = g.n
     val st = new State(n)
     java.util.Arrays.fill(st.alive, true)
     val init = engine.batchHDeg(g, st.alive, Array.range(0, n), h, budget)
     var v = 0
     while (v < n) { st.deg(v) = init(v); st.buckets.add(v, init(v)); v += 1 }
-    run(g, h, 0, math.max(0, n - 1), remeasureBelow, st, engine, budget)
-    st.core
+    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral = true, st, engine, budget)
+    st
   }
 
   def run(g: AdjGraph, h: Int, kmin: Int, kmax: Int, remeasureBelow: Int,
-          st: State, engine: HDegEngine, budget: Budget): Unit = {
+          paperLiteral: Boolean, st: State, engine: HDegEngine, budget: Budget): Unit = {
     val alive = st.alive
     val buckets = st.buckets
     val deg = st.deg
     val setLB = st.setLB
+    val list = st.queue
+    val listed = st.queued
     val bfs = st.bfs
+    val roundMax = if (paperLiteral) 1 else Int.MaxValue
     var k = math.max(0, kmin - 1)
     while (k <= kmax) {
+      // P = list(0 until np).
+      var np = 0
       var v = buckets.pop(k)
       while (v >= 0) {
-        if (setLB(v)) {
-          // Lines 4–7: first touch at this level — materialize the real
-          // h-degree and re-bucket (clamped to the current level).
-          val d = bfs.run(g, alive, v, h, budget)
-          deg(v) = d
-          buckets.add(v, math.max(d, k))
-          setLB(v) = false
-        } else {
-          // Lines 8–19: peel v.
-          if (k >= kmin) st.core(v) = k
-          else setLB(v) = true // core < kmin: assigned by a later interval
-          val cnt = bfs.run(g, alive, v, h, budget)
+        list(np) = v
+        np += 1
+        v = if (np < roundMax) buckets.pop(k) else -1
+      }
+      var nLB = 0
+      var i = 0
+      while (i < np) { if (setLB(list(i))) nLB += 1; i += 1 }
+      if (np == 0) k += 1
+      else if (nLB > 0) {
+        // Lines 4–7: first touch at this level — materialize the real
+        // h-degrees and re-bucket P (clamped to the current level).
+        val batch = new Array[Int](nLB)
+        var j = 0
+        i = 0
+        while (i < np) { val u = list(i); if (setLB(u)) { batch(j) = u; j += 1 }; i += 1 }
+        val d = engine.batchHDeg(g, alive, batch, h, budget)
+        j = 0
+        while (j < nLB) { deg(batch(j)) = d(j); setLB(batch(j)) = false; j += 1 }
+        i = 0
+        while (i < np) { val u = list(i); buckets.add(u, math.max(deg(u), k)); i += 1 }
+      } else {
+        // Lines 8–19: peel P.
+        i = 0
+        while (i < np) {
+          val f = list(i)
+          listed(f) = true
+          if (k >= kmin) { st.core(f) = k; st.order(st.assigned) = f; st.assigned += 1 }
+          else setLB(f) = true // core < kmin: assigned by a later interval
+          i += 1
+        }
+        // Discovery, with P alive; flagged vertices go to list(np until nl).
+        var nl = np
+        i = 0
+        while (i < np) {
+          val cnt = bfs.run(g, alive, list(i), h, budget)
           val nbrs = bfs.nbrs
           val dists = bfs.nbrDist
-          alive(v) = false
-          // Near neighbours are compacted into the front of `nbrs`, behind
-          // the read position, for one re-measure batch; far ones drop by 1.
-          var nRec = 0
-          var i = 0
-          while (i < cnt) {
-            val u = nbrs(i)
-            if (!setLB(u)) {
-              if (dists(i) < remeasureBelow) { nbrs(nRec) = u; nRec += 1 }
+          var j = 0
+          while (j < cnt) {
+            val u = nbrs(j)
+            if (!setLB(u) && !listed(u)) {
+              if (dists(j) < remeasureBelow) { list(nl) = u; nl += 1; listed(u) = true }
               else {
                 deg(u) -= 1
                 buckets.move(u, math.max(deg(u), k))
               }
             }
-            i += 1
+            j += 1
           }
-          if (nRec > 0) {
-            val batch = java.util.Arrays.copyOf(nbrs, nRec)
-            val newDegs = engine.batchHDeg(g, alive, batch, h, budget)
-            var j = 0
-            while (j < nRec) {
-              val u = batch(j)
-              deg(u) = newDegs(j)
-              buckets.move(u, math.max(deg(u), k))
-              j += 1
-            }
+          i += 1
+        }
+        i = 0
+        while (i < np) { alive(list(i)) = false; i += 1 }
+        if (nl > np) {
+          val batch = java.util.Arrays.copyOfRange(list, np, nl)
+          val newDegs = engine.batchHDeg(g, alive, batch, h, budget)
+          var j = 0
+          while (j < batch.length) {
+            val u = batch(j)
+            deg(u) = newDegs(j)
+            buckets.move(u, math.max(deg(u), k))
+            j += 1
           }
         }
-        v = buckets.pop(k)
+        i = 0
+        while (i < nl) { listed(list(i)) = false; i += 1 }
       }
-      k += 1
     }
   }
 }

@@ -12,7 +12,7 @@ object HBZ {
                 budget: Budget = Budget.unlimited()): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
-    val core = CoreDecomp.peelHDegrees(g, h, remeasureBelow = h + 1, engine, budget)
-    CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    val st = CoreDecomp.peelHDegrees(g, h, remeasureBelow = h + 1, engine, budget)
+    CoreResult(st.core, st.order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

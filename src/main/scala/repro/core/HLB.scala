@@ -6,13 +6,16 @@ package repro.core
   *
   * The lower bound defers h-degree materialization until a vertex's bucket
   * is actually reached, saving the bulk of h-BZ's recomputations.
+  * `paperLiteral` peels one vertex per round, as Alg. 3 is written;
+  * otherwise each round peels a whole bucket (see [[CoreDecomp]]).
   */
 object HLB {
 
   def decompose(g: AdjGraph, h: Int,
                 engine: HDegEngine,
-                budget: Budget = Budget.unlimited(),
-                useLB1Only: Boolean = false): CoreResult = {
+                budget: Budget,
+                useLB1Only: Boolean,
+                paperLiteral: Boolean): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
     val n = g.n
@@ -26,8 +29,8 @@ object HLB {
     while (v < n) { st.buckets.add(v, lb(v)); v += 1 }
 
     CoreDecomp.run(g, h, kmin = 0, kmax = math.max(0, n - 1), remeasureBelow = h,
-                   st, engine, budget)
+                   paperLiteral, st, engine, budget)
 
-    CoreResult(st.core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    CoreResult(st.core, st.order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

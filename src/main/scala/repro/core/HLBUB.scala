@@ -58,17 +58,16 @@ object HLBUB {
     Plan(lb2, ub, intervals(uDesc, sVal))
   }
 
-  /** The peeling state plus ImproveLB's scratch, for a whole run. Shared
-    * across intervals, it carries assigned cores (bucketed above kmax,
-    * never re-peeled) and the monotone LB3; a fresh one knows nothing of
-    * other intervals. `alive` and `buckets` hold the interval's G[V[kmin]]
-    * and are empty between intervals; `queue` and `queued` are Alg. 6's
-    * cascade FIFO.
+  /** The peeling state plus LB3, for a whole run. Shared across intervals,
+    * it carries assigned cores (bucketed above kmax, never re-peeled) and
+    * the monotone LB3; a fresh one knows nothing of other intervals.
+    * `alive` and `buckets` hold the interval's G[V[kmin]] and are empty
+    * between intervals; `order` lists the assignments interval by
+    * interval, top-down; `queue` and `queued` serve as Alg. 6's cascade
+    * FIFO before they serve CoreDecomp's rounds.
     */
   final class State(n: Int) extends CoreDecomp.State(n) {
     val lb3 = new Array[Int](n)
-    val queue = new Array[Int](n)
-    val queued = new Array[Boolean](n)
   }
 
   /** Algorithm 6 over the open (unassigned) vertices `open` of V[kmin].
@@ -156,7 +155,7 @@ object HLBUB {
     * every vertex whose core index lies in the interval.
     */
   def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int, plan: Plan, st: State,
-                  engine: HDegEngine, budget: Budget): Unit = {
+                  engine: HDegEngine, budget: Budget, paperLiteral: Boolean): Unit = {
     val n = g.n
     val alive = st.alive
     val buckets = st.buckets
@@ -186,7 +185,7 @@ object HLBUB {
       v += 1
     }
     // Line 18.
-    CoreDecomp.run(g, h, kmin, kmax, remeasureBelow = h, st, engine, budget)
+    CoreDecomp.run(g, h, kmin, kmax, remeasureBelow = h, paperLiteral, st, engine, budget)
     // Only assigned vertices above kmax are left alive and bucketed.
     v = 0
     while (v < n) {
@@ -196,25 +195,46 @@ object HLBUB {
   }
 
   /** Full h-LB+UB decomposition: one [[State]] for the whole run, intervals
-    * visited top-down.
+    * visited top-down. The result's order lists the intervals from lowest
+    * to highest, each in its own assignment order.
     *
     * @param s       interval width in distinct UB values; None ⇒ adaptive
     *                (≈ 12 intervals), the default used by the benches
     * @param useHDegAsUB Table 5 ablation: replace Alg. 5's UB with the
     *                trivial h-degree upper bound
+    * @param paperLiteral peel one vertex per CoreDecomp round (Alg. 3 as
+    *                written) instead of a whole bucket
     */
   def decompose(g: AdjGraph, h: Int,
                 engine: HDegEngine,
-                budget: Budget = Budget.unlimited(),
-                s: Option[Int] = None,
-                useHDegAsUB: Boolean = false): CoreResult = {
+                budget: Budget,
+                s: Option[Int],
+                useHDegAsUB: Boolean,
+                paperLiteral: Boolean): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
-    if (g.n == 0) return CoreResult(Array.empty, 0, 0, 0)
+    if (g.n == 0) return CoreResult(Array.empty, Array.empty, 0, 0, 0)
     val p = plan(g, h, engine, budget, s, useHDegAsUB)
     val st = new State(g.n)
-    for ((kmin, kmax) <- p.intervals)
-      runInterval(g, h, kmin, kmax, p, st, engine, budget)
-    CoreResult(st.core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    // ends(i): end of interval i's block in `st.order`.
+    val ends = new Array[Int](p.intervals.length)
+    for (((kmin, kmax), i) <- p.intervals.zipWithIndex) {
+      runInterval(g, h, kmin, kmax, p, st, engine, budget, paperLiteral)
+      ends(i) = st.assigned
+    }
+    // Reverse the block sequence in place: reverse the whole order, then
+    // each block back into its own order.
+    val order = st.order
+    val n = st.assigned
+    reverse(order, 0, n)
+    var start = 0
+    for (end <- ends) { reverse(order, n - end, n - start); start = end }
+    CoreResult(st.core, order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  private def reverse(a: Array[Int], from: Int, until: Int): Unit = {
+    var i = from
+    var j = until - 1
+    while (i < j) { val t = a(i); a(i) = a(j); a(j) = t; i += 1; j -= 1 }
   }
 }

@@ -20,20 +20,26 @@ object Algo {
   * All of them return identical core indices (they are exact); they differ
   * in runtime and in the number of h-BFS visits they spend — the quantities
   * Tables 3 and 5 compare.
+  *
+  * h-LB and h-LB+UB peel each bucket in level-synchronous rounds by
+  * default; `paperLiteral` selects Alg. 3 as written, one vertex per round,
+  * whose visit counts are the ones the paper's tables compare. h-BZ always
+  * runs as written.
   */
 object KHCore {
 
   def decompose(g: AdjGraph, h: Int, algo: Algo = Algo.HLBUB(),
                 engine: Option[HDegEngine] = None,
-                budget: Budget = Budget.unlimited()): CoreResult = {
+                budget: Budget = Budget.unlimited(),
+                paperLiteral: Boolean = false): CoreResult = {
     val eng = engine.getOrElse(new SequentialEngine(g.n))
     try {
       algo match {
         case Algo.HBZ           => HBZ.decompose(g, h, eng, budget)
-        case Algo.HLB           => HLB.decompose(g, h, eng, budget)
-        case Algo.HLB1          => HLB.decompose(g, h, eng, budget, useLB1Only = true)
-        case Algo.HLBUB(s)      => HLBUB.decompose(g, h, eng, budget, s)
-        case Algo.HLBUBHDeg(s)  => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = true)
+        case Algo.HLB           => HLB.decompose(g, h, eng, budget, useLB1Only = false, paperLiteral)
+        case Algo.HLB1          => HLB.decompose(g, h, eng, budget, useLB1Only = true, paperLiteral)
+        case Algo.HLBUB(s)      => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = false, paperLiteral)
+        case Algo.HLBUBHDeg(s)  => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = true, paperLiteral)
       }
     } finally {
       if (engine.isEmpty) eng.shutdown()

@@ -59,11 +59,16 @@ object Budget {
 /** Result of one decomposition run.
   *
   * @param core   per-vertex core index
+  * @param order  every vertex, in the order its core index was assigned:
+  *               core is non-decreasing along it, and each v has h-degree
+  *               ≤ core(v) among v and the vertices after it (the peel-order
+  *               half of the [[Certify]] certificate)
   * @param visits total vertices visited over all h-BFS (Table 3 metric)
   * @param bfsCount number of h-BFS traversals executed
   * @param millis wall-clock runtime
   */
-final case class CoreResult(core: Array[Int], visits: Long, bfsCount: Long, millis: Long) {
+final case class CoreResult(core: Array[Int], order: Array[Int], visits: Long, bfsCount: Long,
+                            millis: Long) {
   def maxCore: Int = if (core.isEmpty) 0 else core.max
 
   /** Number of distinct non-empty core-index values ≥ 1 (Table 2 metric:

@@ -9,11 +9,13 @@ import repro.core._
   * parallelization option discussed in §4.6.
   *
   * Each task runs the interval routine of [[HLBUB]] (build V[kmin], clean it
-  * with ImproveLB, peel it with CoreDecomp) on a fresh state, and emits
-  * (vertex, core) pairs for core indices inside its interval; the driver
-  * merges them. The paper's noted trade-off applies: tasks lose the
-  * knowledge of already-assigned higher cores (those vertices are re-peeled
-  * as ordinary members), buying parallelism with some repeated work.
+  * with ImproveLB, peel it with CoreDecomp as Alg. 3 is written) on a fresh
+  * state, and emits the vertices whose core index lies inside its interval,
+  * in assignment order, with their cores; the driver merges them, and
+  * concatenates the orders from the lowest interval to the highest. The
+  * paper's noted trade-off applies: tasks lose the knowledge of
+  * already-assigned higher cores (those vertices are re-peeled as ordinary
+  * members), buying parallelism with some repeated work.
   */
 object SparkPartitionedDecomp {
 
@@ -22,7 +24,7 @@ object SparkPartitionedDecomp {
     require(h >= 1)
     val t0 = System.nanoTime()
     val n = g.n
-    if (n == 0) return CoreResult(Array.empty, 0, 0, 0)
+    if (n == 0) return CoreResult(Array.empty, Array.empty, 0, 0, 0)
     val sc = spark.sparkContext
     val budget = Budget.unlimited()
 
@@ -39,22 +41,30 @@ object SparkPartitionedDecomp {
           // A fresh state: no knowledge of other intervals' assignments.
           val st = new HLBUB.State(n)
           HLBUB.runInterval(graph, h, kmin, kmax, planBc.value, st,
-                            new SequentialEngine(n), taskBudget)
-          val pairs = (0 until n).collect { case v if st.core(v) >= 0 => (v, st.core(v)) }.toArray
-          (pairs, taskBudget.visits, taskBudget.bfsCount)
+                            new SequentialEngine(n), taskBudget, paperLiteral = true)
+          val vs = java.util.Arrays.copyOf(st.order, st.assigned)
+          (vs, vs.map(st.core(_)), taskBudget.visits, taskBudget.bfsCount)
         }
         .collect()
 
+      // Tasks come back in interval order, top-down.
       val core = Array.fill(n)(-1)
-      results.foreach { case (pairs, visits, bfs) =>
-        pairs.foreach { case (v, c) =>
+      val order = new Array[Int](n)
+      var len = 0
+      results.reverseIterator.foreach { case (vs, cs, visits, bfs) =>
+        var i = 0
+        while (i < vs.length) {
+          val v = vs(i)
           require(core(v) == -1, s"vertex $v assigned twice")
-          core(v) = c
+          core(v) = cs(i)
+          order(len) = v
+          len += 1
+          i += 1
         }
         budget.merge(visits, bfs)
       }
-      require(core.forall(_ >= 0), "some vertex left unassigned")
-      CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+      require(len == n, "some vertex left unassigned")
+      CoreResult(core, order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
     } finally {
       graphBc.destroy(); planBc.destroy()
     }

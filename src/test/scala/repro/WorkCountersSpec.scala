@@ -10,6 +10,10 @@ import repro.spark.SparkPartitionedDecomp
   * checked elsewhere; these counters catch a change that keeps the result
   * but silently moves work between bounds, ImproveLB and peeling.
   *
+  * The values recorded before level-synchronous rounds existed are checked
+  * on the paper-literal path (one vertex per CoreDecomp round); the default
+  * round path has its own rows.
+  *
   * The h-LB+UB values recorded are those of Alg. 6 as written, which measures every
   * vertex of V[kmin]. The sequential paths skip the vertices a higher
   * interval has already assigned; their counters plus exactly that skipped
@@ -64,7 +68,8 @@ class WorkCountersSpec extends SparkSpec {
 
   for ((name, h, g) <- graphs) {
     def exact(algo: Algo)(b: Budget): Unit =
-      assert(KHCore.decompose(g, h, algo, budget = b).core.toSeq == NaiveCore.decompose(g, h).toSeq)
+      assert(KHCore.decompose(g, h, algo, budget = b, paperLiteral = true).core.toSeq ==
+             NaiveCore.decompose(g, h).toSeq)
     val peels: Seq[(String, Budget => Unit)] = Seq(
       "h-BZ" -> exact(Algo.HBZ),
       "h-LB" -> exact(Algo.HLB),
@@ -85,9 +90,12 @@ class WorkCountersSpec extends SparkSpec {
   for ((name, h, g) <- graphs) {
     // (path, run, Some((S, useHDegAsUB)) for the sequential paths)
     val paths: Seq[(String, () => CoreResult, Option[(Option[Int], Boolean)])] = Seq(
-      ("h-LB+UB S=None", () => KHCore.decompose(g, h, Algo.HLBUB(None)), Some((None, false))),
-      ("h-LB+UB S=1", () => KHCore.decompose(g, h, Algo.HLBUB(Some(1))), Some((Some(1), false))),
-      ("h-LB+UB hDegUB", () => KHCore.decompose(g, h, Algo.HLBUBHDeg(None)), Some((None, true))),
+      ("h-LB+UB S=None", () => KHCore.decompose(g, h, Algo.HLBUB(None), paperLiteral = true),
+       Some((None, false))),
+      ("h-LB+UB S=1", () => KHCore.decompose(g, h, Algo.HLBUB(Some(1)), paperLiteral = true),
+       Some((Some(1), false))),
+      ("h-LB+UB hDegUB", () => KHCore.decompose(g, h, Algo.HLBUBHDeg(None), paperLiteral = true),
+       Some((None, true))),
       ("Spark S=None", () => SparkPartitionedDecomp.decompose(spark, g, h), None),
       ("Spark S=1", () => SparkPartitionedDecomp.decompose(spark, g, h, Some(1)), None))
     for ((path, run, sequential) <- paths)
@@ -101,5 +109,39 @@ class WorkCountersSpec extends SparkSpec {
         }
         assert((r.visits + skippedVisits, r.bfsCount + skippedBfs) == expected((name, path)))
       }
+  }
+
+  /** (graph, path) -> (visits, bfsCount) of the default level-synchronous
+    * rounds, recorded when rounds were introduced. */
+  private val expectedRounds: Map[(String, String), (Long, Long)] = Map(
+    ("figure1", "h-LB")           -> (319L, 59L),
+    ("figure1", "h-LB+UB S=None") -> (590L, 98L),
+    ("figure1", "h-LB+UB S=1")    -> (590L, 98L),
+    ("figure1", "h-LB+UB hDegUB") -> (717L, 127L),
+    ("ba-120", "h-LB")            -> (52355L, 904L),
+    ("ba-120", "h-LB+UB S=None")  -> (58180L, 1082L),
+    ("ba-120", "h-LB+UB S=1")     -> (52551L, 1027L),
+    ("ba-120", "h-LB+UB hDegUB")  -> (95916L, 1941L))
+
+  for ((name, h, g) <- graphs; (path, algo) <- Seq(
+         "h-LB" -> Algo.HLB, "h-LB+UB S=None" -> Algo.HLBUB(None),
+         "h-LB+UB S=1" -> Algo.HLBUB(Some(1)), "h-LB+UB hDegUB" -> Algo.HLBUBHDeg(None)))
+    test(s"work counters of $path in rounds on $name (h=$h)") {
+      val r = KHCore.decompose(g, h, algo)
+      assert(r.core.toSeq == NaiveCore.decompose(g, h).toSeq)
+      assert((r.visits, r.bfsCount) == expectedRounds((name, path)))
+    }
+
+  test("a visit budget raises BudgetExceeded in the middle of a round") {
+    // C30 at h=2: LB1 = LB2 = 2, every h-degree is 4. h-LB spends 90 BFS
+    // (330 visits) on LB1, LB2 and one batch measuring all 30 vertices,
+    // then peels all 30 in one round at k = 4, one 5-visit discovery BFS
+    // each. A budget of 380 visits is exceeded by the 11th of them.
+    val g = GraphGen.cycle(30)
+    val full = KHCore.decompose(g, 2, Algo.HLB)
+    assert(full.core.forall(_ == 4) && (full.visits, full.bfsCount) == (480L, 120L))
+    val b = new Budget(maxVisits = 380)
+    intercept[BudgetExceeded](KHCore.decompose(g, 2, Algo.HLB, budget = b))
+    assert((b.visits, b.bfsCount) == (385L, 101L))
   }
 }

@@ -3,41 +3,44 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 
-/** Agreement of the algorithms with h-LB on dataset analogs, where
+/** Exactness and agreement of the algorithms on dataset analogs, where
   * NaiveCore is too slow and h-LB+UB runs many UB intervals, so the work a
   * higher interval settles for a lower one is exercised at scale.
   *
-  * h-LB's array must pass the lower-side check (no value too high); every
-  * h-LB+UB variant and h-BZ must return exactly that array, and it must lie
-  * between LB2 and UB.
+  * Every h-LB and h-LB+UB result, sequential and threaded, level-synchronous
+  * and paper-literal, must pass [[Certify]] on all 13 analogs at h = 2, 3
+  * (lj only at h = 2: h=3 takes 1.7·10⁹ visits). h-LB's certified array is
+  * the reference: every other h-LB+UB variant and h-BZ must return exactly
+  * it, and it must lie between LB2 and UB.
   */
 class DatasetAgreementSpec extends AnyFunSuite {
 
-  /** Lower-side check: every v has at least core(v) h-neighbours inside
-    * G[{u : core(u) ≥ core(v)}]. Vertices are taken by descending core, so
-    * the alive set only grows.
-    */
-  private def lowerSideHolds(g: AdjGraph, h: Int, core: Array[Int]): Boolean = {
-    val alive = new Array[Boolean](g.n)
-    val bfs = new HBfs(g.n)
-    val budget = Budget.unlimited()
-    val byCore = (0 until g.n).groupBy(core(_)).toSeq.sortBy(-_._1)
-    byCore.forall { case (c, vs) =>
-      vs.foreach(alive(_) = true)
-      vs.forall(v => bfs.run(g, alive, v, h, budget) >= c)
-    }
-  }
-
   private val analogs = Seq(("doub", 3), ("hyves", 3), ("rnTX", 4))
 
-  /** h-LB's array on an analog, computed once and checked lower-side. */
+  /** h-LB's array on an analog, computed once and certified. */
   private val refs = scala.collection.mutable.Map.empty[(String, Int), Array[Int]]
   private def ref(name: String, h: Int): Array[Int] = refs.getOrElseUpdate((name, h), {
     val g = Datasets(name)
-    val core = KHCore.decompose(g, h, Algo.HLB).core
-    assert(lowerSideHolds(g, h, core), s"$name: h-LB fails the lower-side check")
-    core
+    val r = KHCore.decompose(g, h, Algo.HLB)
+    Certify.check(g, h, r.core, r.order).foreach(f => fail(s"$name: h-LB fails the certificate: $f"))
+    r.core
   })
+
+  for (e <- Datasets.all; h <- Seq(2, 3) if !(e.name == "lj" && h == 3))
+    test(s"Certify accepts h-LB and h-LB+UB on the ${e.name} analog (h=$h)") {
+      val g = Datasets(e.name)
+      val eng = new ThreadedEngine(g.n, threads = 4)
+      try {
+        for (algo <- Seq[Algo](Algo.HLB, Algo.HLBUB(None)); threaded <- Seq(false, true);
+             paperLiteral <- Seq(false, true)) {
+          val r = KHCore.decompose(g, h, algo, if (threaded) Some(eng) else None,
+                                   paperLiteral = paperLiteral)
+          Certify.check(g, h, r.core, r.order).foreach { f =>
+            fail(s"${e.name}: $algo threaded=$threaded paperLiteral=$paperLiteral: $f")
+          }
+        }
+      } finally eng.shutdown()
+    }
 
   for ((name, h) <- analogs)
     test(s"h-LB+UB variants agree with h-LB on the $name analog (h=$h)") {

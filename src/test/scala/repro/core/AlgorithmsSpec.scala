@@ -13,12 +13,19 @@ class AlgorithmsSpec extends AnyFunSuite {
     Algo.HLBUB(Some(1)), Algo.HLBUB(Some(3)), Algo.HLBUB(None),
     Algo.HLBUBHDeg(Some(2)))
 
+  /** The algorithms with a CoreDecomp phase, run as Alg. 3 is written: one
+    * vertex per round instead of a whole bucket. */
+  private val literalAlgos: Seq[Algo] = Seq(
+    Algo.HLB, Algo.HLB1, Algo.HLBUB(Some(1)), Algo.HLBUB(None), Algo.HLBUBHDeg(Some(2)))
+
   private def checkAll(name: String, g: AdjGraph, hs: Seq[Int] = 1 to 5): Unit = {
     for (h <- hs) {
       val expected = NaiveCore.decompose(g, h).toSeq
-      for (algo <- allAlgos) {
-        val got = KHCore.decompose(g, h, algo)
-        assert(got.core.toSeq == expected, s"$name h=$h algo=$algo")
+      val runs = allAlgos.map(a => (s"$a", KHCore.decompose(g, h, a))) ++
+        literalAlgos.map(a => (s"$a paper-literal", KHCore.decompose(g, h, a, paperLiteral = true)))
+      for ((label, got) <- runs) {
+        assert(got.core.toSeq == expected, s"$name h=$h algo=$label")
+        assert(Certify.check(g, h, got.core, got.order).isEmpty, s"$name h=$h algo=$label")
       }
     }
   }

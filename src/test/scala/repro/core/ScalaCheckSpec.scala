@@ -34,6 +34,9 @@ class ScalaCheckSpec extends AnyFunSuite {
       val expected = NaiveCore.decompose(g, h).toSeq
       for (algo <- Seq[Algo](Algo.HBZ, Algo.HLB, Algo.HLBUB(None)))
         assert(KHCore.decompose(g, h, algo).core.toSeq == expected, s"n=${g.n} h=$h $algo")
+      for (algo <- Seq[Algo](Algo.HLB, Algo.HLBUB(None)))
+        assert(KHCore.decompose(g, h, algo, paperLiteral = true).core.toSeq == expected,
+               s"n=${g.n} h=$h $algo paper-literal")
     }
   }
 

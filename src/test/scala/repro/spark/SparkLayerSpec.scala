@@ -86,6 +86,7 @@ class SparkLayerSpec extends SparkSpec {
       val expected = NaiveCore.decompose(g, h).toSeq
       val got = SparkPartitionedDecomp.decompose(spark, g, h)
       assert(got.core.toSeq == expected, s"$name h=$h")
+      assert(Certify.check(g, h, got.core, got.order).isEmpty, s"$name h=$h")
     }
   }
 
@@ -95,6 +96,7 @@ class SparkLayerSpec extends SparkSpec {
       val expected = NaiveCore.decompose(g, 2).toSeq
       val got = SparkPartitionedDecomp.decompose(spark, g, 2, s)
       assert(got.core.toSeq == expected, s"seed=$seed s=$s")
+      assert(Certify.check(g, 2, got.core, got.order).isEmpty, s"seed=$seed s=$s")
     }
   }
 
