@@ -1,6 +1,6 @@
 package repro.apps
 
-import repro.core.{AdjGraph, Algo, KHCore}
+import repro.core.{AdjGraph, Algo, Budget, KHCore, SequentialEngine}
 
 /** Distance-generalized cocktail party (Appendix B, Problem 2): given query
   * vertices Q, find a connected S ⊇ Q maximizing the minimum h-degree of
@@ -19,24 +19,21 @@ object CocktailParty {
     val kTop = query.map(decomp.core).min // Q must survive in the core
     var k = kTop
     while (k >= 0) {
-      val verts = decomp.coreVertices(k)
-      val (sub, ids) = g.inducedOn(verts.toSeq)
-      val comp = sub.components()
-      val qComps = query.map(q => comp(ids.indexOf(q))).distinct
-      if (qComps.size == 1) {
-        val c = qComps.head
-        val members = (0 until sub.n).filter(comp(_) == c).map(ids).toArray
-        return Some((k, members))
-      }
+      val comp = g.components(decomp.core.map(_ >= k))
+      val c = comp(query.head)
+      if (query.forall(comp(_) == c))
+        return Some((k, comp.indices.filter(comp(_) == c).toArray))
       k -= 1
     }
     None
   }
 
-  /** Objective value: min h-degree of the subgraph induced by `vertices`. */
+  /** Objective value: min h-degree of the subgraph induced by `vertices`
+    * (distinct). */
   def minHDegree(g: AdjGraph, vertices: Array[Int], h: Int): Int = {
     if (vertices.isEmpty) return 0
-    val (sub, _) = g.inducedOn(vertices.toSeq)
-    repro.core.HBfs.allHDegrees(sub, h).min
+    val mask = new Array[Boolean](g.n)
+    vertices.foreach(mask(_) = true)
+    new SequentialEngine(g.n).batchHDeg(g, mask, vertices, h, Budget.unlimited()).min
   }
 }

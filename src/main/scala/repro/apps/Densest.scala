@@ -1,6 +1,6 @@
 package repro.apps
 
-import repro.core.{AdjGraph, Algo, HBfs, KHCore}
+import repro.core.{AdjGraph, Algo, Budget, KHCore, SequentialEngine}
 
 /** Distance-h densest subgraph (Problem 1, §5.3): maximize the average
   * h-degree over induced subgraphs. Theorem 4: among all (k,h)-cores, the
@@ -9,11 +9,14 @@ import repro.core.{AdjGraph, Algo, HBfs, KHCore}
   */
 object Densest {
 
-  /** Average h-degree f_h(S) of the subgraph induced by `vertices`. */
+  /** Average h-degree f_h(S) of the subgraph induced by `vertices`
+    * (distinct). */
   def avgHDegree(g: AdjGraph, vertices: Array[Int], h: Int): Double = {
     if (vertices.isEmpty) return 0.0
-    val (sub, _) = g.inducedOn(vertices.toSeq)
-    HBfs.allHDegrees(sub, h).sum.toDouble / sub.n
+    val mask = new Array[Boolean](g.n)
+    vertices.foreach(mask(_) = true)
+    new SequentialEngine(g.n).batchHDeg(g, mask, vertices, h, Budget.unlimited()).sum.toDouble /
+      vertices.length
   }
 
   final case class Approx(vertices: Array[Int], k: Int, density: Double)

@@ -267,7 +267,7 @@ object TableRunners {
       errors((name, "cc")) = err(Landmarks.topBy(Landmarks.closeness(g), l))
       errors((name, "bc")) = err(Landmarks.topBy(Landmarks.betweenness(g), l))
       for (h <- 1 to 4) {
-        val hd = HBfs.allHDegrees(g, h).map(_.toDouble)
+        val hd = Bounds.hDegUB(g, h, new SequentialEngine(g.n)).map(_.toDouble)
         errors((name, s"deg^$h")) = err(Landmarks.topBy(hd, l))
       }
     }

@@ -7,6 +7,9 @@ import repro.core.{AdjGraph, Algo, Budget, KHCore}
   * inside the (k,h)-core). Start from the innermost core — a far smaller
   * instance — and descend only while the club found is not certified
   * maximum by its size exceeding the current core index.
+  *
+  * The decomposition runs under the club budget's deadline: past it, it
+  * raises [[repro.core.BudgetExceeded]] before the solver runs.
   */
 object CoreClubWrapper {
 
@@ -17,7 +20,7 @@ object CoreClubWrapper {
             budget: ClubBudget = new ClubBudget(),
             algo: Algo = Algo.HLBUB(None)): Result = {
     val t0 = System.nanoTime()
-    val decomp = KHCore.decompose(g, h, algo, budget = Budget.unlimited())
+    val decomp = KHCore.decompose(g, h, algo, budget = new Budget(deadlineNanos = budget.deadlineNanos))
     val tDecomp = (System.nanoTime() - t0) / 1000000L
     val core = decomp.core
     val kStar = decomp.maxCore

@@ -48,13 +48,12 @@ package repro.core
   *  - every alive vertex is bucketed either at its h-degree (in `st.deg`)
   *    with `setLB = false`, or at a *valid lower bound* of its core index,
   *    clamped to ≥ max(0, kmin−1), with `setLB = true` (`deg` is ignored
-  *    while the flag is set);
-  *  - alive vertices whose core index was assigned by an earlier interval
-  *    must be bucketed at `core(v)` (> kmax), so they are never popped;
+  *    while the flag is set); or it is left out of the buckets with
+  *    `setLB = true`, so it is never popped and discovery skips it (h-LB+UB
+  *    leaves the vertices assigned by a higher interval so);
   *  - on return, every alive vertex whose core index lies in [kmin, kmax]
   *    has `core` set and is appended to `order`; vertices peeled below kmin
-  *    are removed without assignment (their `setLB` is re-raised for later
-  *    intervals).
+  *    are removed without assignment.
   */
 object CoreDecomp {
 
@@ -142,7 +141,6 @@ object CoreDecomp {
           val f = list(i)
           listed(f) = true
           if (k >= kmin) { st.core(f) = k; st.order(st.assigned) = f; st.assigned += 1 }
-          else setLB(f) = true // core < kmin: assigned by a later interval
           i += 1
         }
         // Discovery, with P alive; flagged vertices go to list(np until nl).

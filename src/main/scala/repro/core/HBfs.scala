@@ -3,7 +3,8 @@ package repro.core
 /** Reusable scratchpad for h-bounded BFS over the alive-masked graph.
   *
   * One instance per thread (the arrays are mutable state); allocation-free
-  * across calls via the token-stamped `seen` array. After [[run]]:
+  * across calls via the token-stamped `seen` array, which is cleared when
+  * the stamp wraps to 0 (once every 2^32 − 1 runs). After [[run]]:
   *   - `nbrCount` is the h-degree of the source,
   *   - `nbrs(0 until nbrCount)` are the h-neighbors,
   *   - `nbrDist(i)` is the shortest-path distance of `nbrs(i)` (≤ h).
@@ -29,6 +30,9 @@ final class HBfs(n: Int) {
     */
   def run(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget): Int = {
     token += 1
+    // The stamps would repeat: clear them before a slot stamped long ago,
+    // or never, can read as seen.
+    if (token == 0) { java.util.Arrays.fill(seen, 0); token = 1 }
     val tk = token
     var head = 0; var tail = 0
     seen(src) = tk; dist(src) = 0
@@ -59,6 +63,9 @@ final class HBfs(n: Int) {
     budget.check()
     nbrCount
   }
+
+  /** Sets the stamp of the last run, to test the wrap. */
+  private[core] def stampForTest(t: Int): Unit = token = t
 }
 
 /** Reusable scratchpad for up to 64 h-bounded BFS at once (MS-BFS, Then et

@@ -24,13 +24,28 @@ trait HDegEngine {
   def shutdown(): Unit = ()
 }
 
-/** Per-thread scratch of an engine: one per-vertex and one 64-lane h-BFS. */
-private final class EngineScratch(n: Int) {
+/** One thread's h-BFS scratch: one per-vertex and one 64-lane h-BFS. */
+private[repro] final class EngineScratch(val n: Int) {
   val bfs = new HBfs(n)
   val multi = new MultiHBfs(n)
 }
 
-private object EngineKernels {
+private[repro] object EngineScratch {
+  private val local = new ThreadLocal[EngineScratch]
+
+  /** The calling thread's scratch, grown to serve graphs of `n` vertices.
+    * It belongs to the thread, not to an engine: the caller, the pool
+    * threads and the Spark tasks each keep one, as large as the largest
+    * graph the thread has served, and never shrink it.
+    */
+  def get(n: Int): EngineScratch = {
+    val s = local.get()
+    if (s != null && s.n >= n) s
+    else { val t = new EngineScratch(n); local.set(t); t }
+  }
+}
+
+private[repro] object EngineKernels {
   /** Smallest block sent through the 64-lane kernel; smaller batches and
     * tails, whose sources share less of their neighbourhoods, use
     * per-vertex h-BFS. `KernelCrossoverBench` measures the time ratio of
@@ -84,50 +99,30 @@ private object EngineKernels {
   }
 }
 
-/** Single-threaded engine (the sequential versions of the algorithms). */
-final class SequentialEngine(n: Int) extends HDegEngine {
-  private val scratch = new EngineScratch(n)
-
-  override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                         h: Int, budget: Budget): Array[Int] = {
-    val out = new Array[Int](vertices.length)
-    EngineKernels.hDegRange(g, alive, vertices, h, budget, scratch, out, 0, vertices.length)
-    out
-  }
-
-  override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                           r: Int, value: Array[Int], budget: Budget): Array[Int] = {
-    val out = new Array[Int](vertices.length)
-    EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, scratch, out, 0, vertices.length)
-    out
-  }
-}
-
-/** Multithreaded engine (§4.6): a fixed pool; each task owns thread-local
-  * scratch and takes a contiguous chunk of the vertex batch. Chunks are
-  * multiples of 64 vertices, so every chunk but a batch's last one fills
-  * whole 64-lane blocks. Batches that make a single chunk, or fall under
-  * the cutoff where fork-join overhead dominates, run on the caller.
+/** The local engine: every batch is independent h-BFS (§4.6) run through
+  * [[EngineKernels]] on the running thread's scratch, so building one
+  * allocates nothing. A batch of at most 64 vertices, or any batch when
+  * `threads` is 1, runs on the caller. A longer one is split into
+  * `threads * 4` chunks, rounded up to multiples of 64 vertices so that
+  * every chunk but the last fills whole 64-lane blocks, and run on a
+  * fixed pool; a single-chunk batch still runs on the caller. A worker's
+  * failure, e.g. [[BudgetExceeded]], is rethrown as itself.
   */
-final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availableProcessors())
-    extends HDegEngine {
-  private val pool = Executors.newFixedThreadPool(threads)
-  private val localScratch = ThreadLocal.withInitial[EngineScratch](() => new EngineScratch(n))
-  private val minParallelBatch = 32
+class LocalEngine private[repro] (threads: Int) extends HDegEngine {
+  require(threads >= 1, s"threads = $threads")
+  private val pool = if (threads > 1) Executors.newFixedThreadPool(threads) else null
 
-  /** Runs `body(scratch, from, until)` over contiguous chunks of [0, len) on
-    * the pool (on the calling thread below `minParallelBatch` or for a
-    * single chunk). A worker's failure, e.g. [[BudgetExceeded]], is
-    * rethrown as itself.
-    */
-  private def parallelFor(len: Int)(body: (EngineScratch, Int, Int) => Unit): Unit = {
-    val blocks = (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes
-    val chunk = math.max(1, blocks) * MultiHBfs.Lanes
-    if (len < minParallelBatch || chunk >= len) return body(localScratch.get(), 0, len)
+  /** Chunk length of a `len`-vertex batch; `len` or more ⇒ run on the caller. */
+  private def chunk(len: Int): Int =
+    if (pool == null) len
+    else math.max(1, (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes) * MultiHBfs.Lanes
+
+  /** Runs `body(scratch, from, until)` over the chunks of [0, len) on the pool. */
+  private def parallelFor(len: Int, n: Int, chunk: Int)(body: (EngineScratch, Int, Int) => Unit): Unit = {
     val tasks = (0 until len by chunk).map { start =>
       val end = math.min(len, start + chunk)
       new Callable[Unit] {
-        override def call(): Unit = body(localScratch.get(), start, end)
+        override def call(): Unit = body(EngineScratch.get(n), start, end)
       }
     }
     pool.invokeAll(tasks.asJava).asScala.foreach { f =>
@@ -138,25 +133,42 @@ final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availablePr
 
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
-    val out = new Array[Int](vertices.length)
-    parallelFor(vertices.length) { (scratch, from, until) =>
-      EngineKernels.hDegRange(g, alive, vertices, h, budget, scratch, out, from, until)
+    val len = vertices.length
+    val out = new Array[Int](len)
+    val c = chunk(len)
+    if (c >= len) EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, len)
+    else parallelFor(len, g.n, c) { (s, from, until) =>
+      EngineKernels.hDegRange(g, alive, vertices, h, budget, s, out, from, until)
     }
     out
   }
 
   override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                            r: Int, value: Array[Int], budget: Budget): Array[Int] = {
-    val out = new Array[Int](vertices.length)
-    parallelFor(vertices.length) { (scratch, from, until) =>
-      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, scratch, out, from, until)
+    val len = vertices.length
+    val out = new Array[Int](len)
+    val c = chunk(len)
+    if (c >= len) EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, EngineScratch.get(g.n), out, 0, len)
+    else parallelFor(len, g.n, c) { (s, from, until) =>
+      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, s, out, from, until)
     }
     out
   }
 
-  override def shutdown(): Unit = {
+  override def shutdown(): Unit = if (pool != null) {
     pool.shutdown()
     pool.awaitTermination(10, TimeUnit.SECONDS)
-    ()
   }
 }
+
+/** Single-threaded engine (the sequential versions of the algorithms): no
+  * pool, every batch on the caller. `n` is the size of the graphs it will
+  * serve; the scratch is the caller thread's, sized at the first batch.
+  */
+final class SequentialEngine(n: Int) extends LocalEngine(1)
+
+/** Multithreaded engine (§4.6): the local engine on a fixed pool of
+  * `threads` (none when `threads` is 1, which is [[SequentialEngine]]).
+  */
+final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availableProcessors())
+    extends LocalEngine(threads)

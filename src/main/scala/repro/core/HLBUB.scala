@@ -59,7 +59,7 @@ object HLBUB {
   }
 
   /** The peeling state plus LB3, for a whole run. Shared across intervals,
-    * it carries assigned cores (bucketed above kmax, never re-peeled) and
+    * it carries assigned cores (never bucketed again, never re-peeled) and
     * the monotone LB3; a fresh one knows nothing of other intervals.
     * `alive` and `buckets` hold the interval's G[V[kmin]] and are empty
     * between intervals; `order` lists the assignments interval by
@@ -87,7 +87,7 @@ object HLBUB {
     *  - if an open vertex exists, Property 3's minimum over V[kmin] is ≤ its
     *    core ≤ kmax < every assigned h-degree, so an open vertex attains it
     *    and LB3 is the same;
-    *  - assigned vertices sit in buckets above kmax with `setLB` raised, so
+    *  - assigned vertices stay out of the buckets with `setLB` raised, so
     *    CoreDecomp never reads their `deg`.
     * Only the assigned vertices' h-BFS disappear. A fresh [[State]] (the
     * Spark path) has nothing assigned and runs Alg. 6 exactly as written.
@@ -174,24 +174,21 @@ object HLBUB {
     while (v < n) { if (alive(v) && st.core(v) < 0) { open(size) = v; size += 1 }; v += 1 }
     // Lines 13–14: clean + tighten (Alg. 6).
     improveLB(g, h, kmin, alive, open, plan.lb2, st, engine, budget)
-    // Lines 15–17: bucket survivors at their best-known floor.
+    // Lines 15–17: bucket the open survivors at their best-known floor.
+    // Assigned ones stay alive and unbucketed, with `setLB` raised.
     val floor = math.max(0, kmin - 1)
     v = 0
     while (v < n) {
       if (alive(v)) {
-        buckets.add(v, math.max(math.max(st.core(v), st.lb3(v)), floor))
+        if (st.core(v) < 0) buckets.add(v, math.max(st.lb3(v), floor))
         st.setLB(v) = true
       }
       v += 1
     }
     // Line 18.
     CoreDecomp.run(g, h, kmin, kmax, remeasureBelow = h, paperLiteral, st, engine, budget)
-    // Only assigned vertices above kmax are left alive and bucketed.
-    v = 0
-    while (v < n) {
-      if (alive(v)) { alive(v) = false; buckets.remove(v) }
-      v += 1
-    }
+    // Only assigned vertices are left alive.
+    java.util.Arrays.fill(alive, false)
   }
 
   /** Full h-LB+UB decomposition: one [[State]] for the whole run, intervals

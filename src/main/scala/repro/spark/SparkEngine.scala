@@ -1,56 +1,58 @@
 package repro.spark
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{AdjGraph, Budget, HDegEngine, SequentialEngine}
+import repro.core.{AdjGraph, Budget, EngineKernels, EngineScratch, LocalEngine}
 
-/** [[HDegEngine]] that distributes batch h-degree computations over Spark
-  * executors — the cluster-scale version of the §4.6 parallelization
-  * ("give different h-BFS traversals to different processors").
+/** [[repro.core.HDegEngine]] that distributes batch h-degree computations
+  * over Spark executors — the cluster-scale version of the §4.6
+  * parallelization ("give different h-BFS traversals to different
+  * processors").
+  *
+  * It is the one-thread local engine, except that an h-degree batch of at
+  * least `minDistributedBatch` vertices runs as Spark tasks: `vertices` is
+  * cut into contiguous slices, each task runs the engines' kernel on its
+  * slice with its thread's scratch, and the driver copies each slice's
+  * degrees back into place. LB2 batches and shorter batches stay local.
   *
   * The graph is broadcast once per engine instance, and the engine serves
-  * only that graph; the (mutable) alive mask is shipped per batch. Only
-  * large batches go through Spark — single-vertex updates during peeling
-  * stay local, where they belong.
+  * only that graph; the (mutable) alive mask is shipped per batch.
   */
 final class SparkEngine(spark: SparkSession, g: AdjGraph,
-                        minDistributedBatch: Int = 512) extends HDegEngine {
+                        minDistributedBatch: Int = 512) extends LocalEngine(1) {
   private val sc = spark.sparkContext
   private val graphBc = sc.broadcast(g)
-  private val local = new SequentialEngine(g.n)
 
   override def batchHDeg(g2: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
     require(g2 eq g, "SparkEngine is bound to the graph it was built for")
-    if (vertices.length < minDistributedBatch)
-      return local.batchHDeg(g2, alive, vertices, h, budget)
+    val len = vertices.length
+    if (len < minDistributedBatch) return super.batchHDeg(g2, alive, vertices, h, budget)
     val aliveBc = sc.broadcast(alive)
     val graphB = graphBc
+    val p = sc.defaultParallelism
+    def cut(i: Int) = (len.toLong * i / p).toInt
+    val slices = Seq.tabulate(p)(i => java.util.Arrays.copyOfRange(vertices, cut(i), cut(i + 1)))
     try {
-      val rows = sc.parallelize(vertices.zipWithIndex.toSeq, sc.defaultParallelism)
-        .mapPartitions { it =>
-          val (slice, idx) = it.toArray.unzip
+      val rows = sc.parallelize(slices, p)
+        .map { slice =>
           val graph = graphB.value
           val b = Budget.unlimited() // per-task accounting, merged below
-          // The engines' own kernel: 64-lane blocks, per-vertex tail.
-          val out = new SequentialEngine(graph.n).batchHDeg(graph, aliveBc.value, slice, h, b)
-          Iterator((idx, out, b.visits, b.bfsCount))
+          val out = new Array[Int](slice.length)
+          EngineKernels.hDegRange(graph, aliveBc.value, slice, h, b, EngineScratch.get(graph.n), out, 0, slice.length)
+          (out, b.visits, b.bfsCount)
         }
         .collect()
-      val degs = new Array[Int](vertices.length)
-      rows.foreach { case (idx, part, visits, bfsCount) =>
-        var j = 0
-        while (j < idx.length) { degs(idx(j)) = part(j); j += 1 }
+      val degs = new Array[Int](len)
+      var at = 0
+      rows.foreach { case (part, visits, bfsCount) =>
+        System.arraycopy(part, 0, degs, at, part.length)
+        at += part.length
         budget.merge(visits, bfsCount)
       }
       budget.check()
       degs
     } finally aliveBc.destroy()
   }
-
-  override def batchNbrMax(g2: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                           r: Int, value: Array[Int], budget: Budget): Array[Int] =
-    // LB2 batches are one-shot and cheap relative to peeling; keep local.
-    local.batchNbrMax(g2, alive, vertices, r, value, budget)
 
   override def shutdown(): Unit = graphBc.destroy()
 }

@@ -1,7 +1,7 @@
 package repro.club
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AdjGraph, NaiveCore}
+import repro.core.{AdjGraph, BudgetExceeded, NaiveCore}
 import repro.graphgen.GraphGen
 
 /** Max h-club machinery: club checking, exact solvers (against brute force),
@@ -158,6 +158,22 @@ class ClubSpec extends AnyFunSuite {
       val inSet = Array.fill(g.n)(false); wrapped.club.foreach(inSet(_) = true)
       assert(HClub.isHClub(g, inSet, h))
     }
+
+  test("Algorithm 7 charges the decomposition to the club deadline") {
+    val g = GraphGen.randomConnected(35, 3.0, 131)
+    var solverRan = false
+    val solver = new ClubSolver {
+      override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: ClubBudget): Array[Int] = {
+        solverRan = true
+        BnBClubSolver.solve(g, h, incumbentSize, budget)
+      }
+      override def name: String = "recording"
+    }
+    intercept[BudgetExceeded] {
+      CoreClubWrapper.solve(g, 2, solver, new ClubBudget(deadlineNanos = System.nanoTime() - 1))
+    }
+    assert(!solverRan)
+  }
 
   test("Algorithm 7 on the Figure-1 graph (h=2)") {
     val g = GraphGen.figure1

@@ -77,6 +77,20 @@ class HBfsSpec extends AnyFunSuite {
     }
   }
 
+  test("runs across the stamp wrap equal a fresh HBfs") {
+    val g = GraphGen.randomConnected(60, 3.0, 11)
+    val alive = Array.fill(g.n)(true)
+    val bfs = new HBfs(g.n)
+    bfs.run(g, alive, 0, 3, Budget.unlimited()) // stamps 0's ball with 1
+    bfs.stampForTest(-3)
+    for (v <- 0 until 8) {
+      val fresh = new HBfs(g.n)
+      val expected = fresh.run(g, alive, v, 3, Budget.unlimited())
+      assert(bfs.run(g, alive, v, 3, Budget.unlimited()) == expected, s"v=$v")
+      assert(bfs.nbrs.take(expected).toSet == fresh.nbrs.take(expected).toSet, s"v=$v")
+    }
+  }
+
   test("allHDegrees helper matches per-vertex runs") {
     val g = GraphGen.petersen
     val all = HBfs.allHDegrees(g, 2)

@@ -1,14 +1,19 @@
 package repro.core
 
+import java.lang.management.ManagementFactory
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graphgen.GraphGen
+import scala.jdk.CollectionConverters._
 
 /** The 64-lane h-BFS kernel ([[MultiHBfs]]) and the engines that route
   * batches through it must be indistinguishable from one per-vertex
   * [[HBfs.run]] per source: same h-degrees, same visits, same BFS count,
   * on any graph, alive mask and batch (dead and repeated sources included).
+  * The engines keep their h-BFS scratch per thread, not per engine:
+  * building one is free, a thread's scratch grows to the largest graph it
+  * has served and is reused, and a one-thread engine starts no thread.
   */
 class MultiHBfsSpec extends AnyFunSuite {
 
@@ -155,5 +160,60 @@ class MultiHBfsSpec extends AnyFunSuite {
       for (limit <- Seq(1L, 2000L, full / 2, full - 1))
         intercept[BudgetExceeded](eng.batchHDeg(g, alive, batch, 3, new Budget(maxVisits = limit)))
     } finally eng.shutdown()
+  }
+
+  private val threadMx =
+    ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+
+  /** Runs `body` on a new thread, whose engine scratch starts empty. */
+  private def onFreshThread(body: => Unit): Unit = {
+    var failure: Throwable = null
+    val t = new Thread(() => try body catch { case e: Throwable => failure = e })
+    t.start(); t.join()
+    if (failure != null) throw failure
+  }
+
+  test("building a SequentialEngine allocates no h-BFS scratch") {
+    new SequentialEngine(10) // load the classes first
+    val a0 = threadMx.getCurrentThreadAllocatedBytes
+    new SequentialEngine(200000)
+    val bytes = threadMx.getCurrentThreadAllocatedBytes - a0
+    assert(bytes < (1L << 20), s"$bytes bytes")
+  }
+
+  test("one thread's scratch grows and is reused across graphs of n = 50, 2000, 50") {
+    val small = GraphGen.randomConnected(50, 3.0, 3)
+    val large = GraphGen.ba(2000, 4, 2, 9)
+    onFreshThread {
+      for ((g, round) <- Seq(small, large, small, large, small).zipWithIndex) {
+        val alive = Array.tabulate(g.n)(_ % 7 != 3)
+        val batch = Array.tabulate(g.n)(i => (i * 13) % g.n)
+        for (h <- 2 to 3) {
+          assert(viaEngine(new SequentialEngine(g.n), g, alive, batch, h) == perVertex(g, alive, batch, h),
+                 s"n=${g.n} round=$round h=$h")
+          val lb1 = perVertex(g, alive, Array.range(0, g.n), 1)._1.toArray
+          val expected = batch.map(v => (v +: HBfs.hNeighborhood(g, alive, v, h)).map(lb1).max)
+          val got = new SequentialEngine(g.n).batchNbrMax(g, alive, batch, h, lb1, Budget.unlimited())
+          assert(got.toSeq == expected.toSeq, s"nbrMax n=${g.n} round=$round h=$h")
+        }
+      }
+    }
+  }
+
+  test("ThreadedEngine with one thread starts no thread and equals SequentialEngine") {
+    val g = GraphGen.ba(1500, 4, 2, 21)
+    val alive = Array.tabulate(g.n)(_ % 5 != 0)
+    val batch = Array.tabulate(3000)(i => i % g.n)
+    def pools = Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith("pool-")).toSet
+    val before = pools
+    val one = new ThreadedEngine(g.n, threads = 1)
+    try {
+      for (h <- 1 to 3)
+        assert(viaEngine(one, g, alive, batch, h) == viaEngine(new SequentialEngine(g.n), g, alive, batch, h), s"h=$h")
+      val lb1 = new SequentialEngine(g.n).batchHDeg(g, alive, Array.range(0, g.n), 1, Budget.unlimited())
+      assert(one.batchNbrMax(g, alive, batch, 2, lb1, Budget.unlimited()).toSeq ==
+             new SequentialEngine(g.n).batchNbrMax(g, alive, batch, 2, lb1, Budget.unlimited()).toSeq)
+      assert((pools -- before).isEmpty, s"started ${(pools -- before).map(_.getName)}")
+    } finally one.shutdown()
   }
 }

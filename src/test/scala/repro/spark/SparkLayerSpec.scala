@@ -57,6 +57,23 @@ class SparkLayerSpec extends SparkSpec {
     } finally eng.shutdown()
   }
 
+  test("SparkEngine batch above the default cutoff equals SequentialEngine in degrees, visits and BFS") {
+    val g = GraphGen.ba(900, 4, 2, 17)
+    val eng = new SparkEngine(spark, g)
+    try {
+      val alive = Array.tabulate(g.n)(_ % 9 != 4)
+      val verts = Array.tabulate(1300)(i => (i * 7) % g.n)
+      for (h <- Seq(2, 3)) {
+        val bSeq = Budget.unlimited()
+        val seq = new SequentialEngine(g.n).batchHDeg(g, alive, verts, h, bSeq)
+        val bDist = Budget.unlimited()
+        val dist = eng.batchHDeg(g, alive, verts, h, bDist)
+        assert(dist.toSeq == seq.toSeq, s"h=$h")
+        assert((bDist.visits, bDist.bfsCount) == ((bSeq.visits, bSeq.bfsCount)), s"h=$h")
+      }
+    } finally eng.shutdown()
+  }
+
   test("SparkEngine rejects a graph other than its own") {
     val g = GraphGen.cycle(40)
     val other = GraphGen.path(40) // same n, different edges
