@@ -135,7 +135,7 @@ object TableRunners {
       val eng = new SequentialEngine(g.n)
       val (l1, l2) = Bounds.lowerBounds(g, h, eng)
       val hd = Bounds.hDegUB(g, h, eng)
-      val ub = Bounds.upperBound(g, h, eng)
+      val ub = Bounds.upperBound(g, h, eng, paperLiteral = true)
       eng.shutdown()
       val (e1, t1) = boundQuality(core, l1)
       val (e2, t2) = boundQuality(core, l2)

@@ -8,7 +8,9 @@ package repro.core
   *    (approximate) h-degree of each h-neighbor of a removed vertex by
   *    exactly 1 — i.e., the classic core decomposition of the *implicit*
   *    power graph, never materialized (Algorithm 5). An upper bound because
-  *    a real removal can drop an h-degree by more than 1.
+  *    a real removal can drop an h-degree by more than 1. The default peels
+  *    a whole bucket per round and drops a vertex by the number of peeled
+  *    vertices within h of it, which is still an upper bound.
   *  - `hDegUB(v) = deg^h(v)` — the trivial upper bound Table 4/5 compares
   *    UB against.
   */
@@ -39,12 +41,17 @@ object Bounds {
   }
 
   /** Algorithm 5 (UpperBound): [[CoreDecomp.peelHDegrees]] with every
-    * h-neighbour of a peeled vertex dropping by 1. Charges the initial
-    * h-degrees and one h-BFS per peeled vertex to `budget`.
+    * h-neighbour of a peeled vertex dropping. By default it peels whole
+    * buckets in level-synchronous rounds, and a vertex drops by the number
+    * of the round's peeled vertices within distance h of it (the proof that
+    * this is still an upper bound is in the [[CoreDecomp]] scaladoc);
+    * `paperLiteral` peels one vertex per round, −1 per removal, Alg. 5 as
+    * written. Charges the initial h-degrees and one h-BFS per peeled
+    * vertex to `budget`.
     */
   def upperBound(g: AdjGraph, h: Int, engine: HDegEngine,
-                 budget: Budget = Budget.unlimited()): Array[Int] =
-    CoreDecomp.peelHDegrees(g, h, remeasureBelow = 1, engine, budget).core
+                 budget: Budget = Budget.unlimited(), paperLiteral: Boolean = false): Array[Int] =
+    CoreDecomp.peelHDegrees(g, h, remeasureBelow = 1, paperLiteral, engine, budget).core
 
   /** The trivial upper bound: initial h-degree of every vertex. */
   def hDegUB(g: AdjGraph, h: Int, engine: HDegEngine,

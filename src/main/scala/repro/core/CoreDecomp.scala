@@ -13,21 +13,30 @@ package repro.core
   *  - If a vertex of P has its `setLB` flag raised, it sits at a lower
   *    bound: all such vertices are measured in one engine batch, P is
   *    re-bucketed and the level is popped again (Alg. 3 lines 4–7).
-  *  - Otherwise every f ∈ P is peeled at level k. One h-BFS from each f,
-  *    with all of P still alive, discovers its h-neighbours u (skipping P
-  *    and vertices at a lower bound) at distance `d(u,f)`:
-  *    - `d < remeasureBelow`: u is flagged; once P is removed, every flagged
-  *      vertex is re-measured by one h-BFS, in one batch the engine may
-  *      parallelize (§4.6);
-  *    - otherwise: u's h-degree drops by 1 right away.
+  *  - Otherwise every f ∈ P is peeled at level k. Discovery runs an h-BFS
+  *    from each f, with all of P still alive, and reads for each vertex u
+  *    it reaches (skipping P and vertices at a lower bound) its distance
+  *    d(u,P) = min over f of d(u,f), and cnt(u), the number of f ∈ P that
+  *    reach u:
+  *    - `d(u,P) < remeasureBelow`: u is flagged; once P is removed, every
+  *      flagged vertex is re-measured by one h-BFS, in one batch the engine
+  *      may parallelize (§4.6);
+  *    - otherwise: u's h-degree drops by cnt(u) right away, with one
+  *      bucket move.
+  *    A round of at least 8 vertices discovers in blocks of up to 64
+  *    sources through the 64-lane kernel ([[MultiHBfs.discover]]), as the
+  *    engines measure (a tail under 8, and every one-vertex round, through
+  *    per-vertex [[HBfs.run]]); visits and BFS counts are those of one
+  *    h-BFS per f either way. Both run on the calling thread's
+  *    [[EngineScratch]], and no engine call falls between a discovery and
+  *    the reading of its output.
   *
   * The three callers differ only in `remeasureBelow`:
   *  - h + 1 (h-BZ): every h-neighbour is re-measured (Alg. 1 line 9);
-  *  - h (CoreDecomp): neighbours at distance h drop by 1 (Alg. 3 lines
-  *    14–17);
-  *  - 1 (UpperBound): every h-neighbour drops by 1, the core decomposition
-  *    of the implicit power graph, an upper bound.
-  * h-BZ and UpperBound always peel one vertex per round.
+  *  - h (CoreDecomp): neighbours at distance h drop (Alg. 3 lines 14–17);
+  *  - 1 (UpperBound): every h-neighbour drops, the core decomposition of
+  *    the implicit power graph, an upper bound (see below).
+  * h-BZ always peels one vertex per round.
   *
   * Why a level-synchronous round is exact. Let A be the alive set when the
   * round starts; by induction, A contains the (k+1,h)-core C_{k+1}.
@@ -35,13 +44,25 @@ package repro.core
   *    deletion, so f would have h-degree ≤ k in C_{k+1} too: f ∉ C_{k+1}.
   *    The usual Batagelj–Zaveršnik argument gives core(f) ≥ k, so
   *    core(f) = k, and A \ P still contains C_{k+1}.
-  *  - The −1-per-f update is exact when every f ∈ P that reaches u does so
+  *  - The −cnt(u) update is exact when every f ∈ P that reaches u does so
   *    at distance h. A shortest path of length ≤ h from u in A that passed
   *    through some f ∈ P would reach f at distance < h, so it must end at f:
-  *    removing P loses u exactly the vertices of P within distance h, one
-  *    per discovery h-BFS that reaches u. A flagged vertex's `deg` is
-  *    overwritten by its re-measure, so no per-vertex distance or count is
-  *    kept.
+  *    removing P loses u exactly the vertices of P within distance h, the
+  *    cnt(u) sources that reach u. A flagged vertex's `deg` is overwritten
+  *    by its re-measure.
+  *
+  * Why UpperBound in rounds is still an upper bound. Invariant: `deg(u)` is
+  * at least u's h-degree in the alive set. Removing P from A costs u at
+  * least the vertices |{f ∈ P : d_A(u,f) ≤ h}| = cnt(u), which are
+  * h-neighbours of u in A and are gone from A \ P (other h-neighbours may
+  * be lost too, which only widens the gap), so `deg(u) − cnt(u)` is still
+  * at least u's h-degree in A \ P. Now let u ∈ C_c, c = core(u), and look
+  * at the first round that peels a vertex w of C_c: when it starts, A ⊇ C_c,
+  * so `deg(w)` ≥ h-degree of w in C_c ≥ c, and w sits in bucket
+  * max(deg(w), k') ≥ c for the level k' it was last moved at; it is popped
+  * at a level ≥ c. So every vertex of C_c, u included, is peeled at a level
+  * ≥ core(u): the level is an upper bound. Alg. 5 as written (one vertex
+  * per round, −1 per removal) is the same argument with |P| = 1.
   *
   * Caller contract:
   *  - `st.alive` masks the subgraph to peel (it is mutated);
@@ -58,10 +79,8 @@ package repro.core
 object CoreDecomp {
 
   /** Peeling state over n vertices: the alive mask, bucket queue, current
-    * h-degrees, core indices (−1 = unassigned), lower-bound flags, the
-    * assigned vertices in assignment order (`order(0 until assigned)`) and
-    * the h-BFS that discovers a peeled vertex's h-neighbourhood. The engine
-    * never uses `bfs`, so the loop reads its neighbourhood in place.
+    * h-degrees, core indices (−1 = unassigned), lower-bound flags and the
+    * assigned vertices in assignment order (`order(0 until assigned)`).
     *
     * `queue` and `queued` are a vertex list and its membership marks, empty
     * between rounds: a round's P followed by the vertices it flags for
@@ -76,17 +95,16 @@ object CoreDecomp {
     val setLB = new Array[Boolean](n)
     val order = new Array[Int](n)
     var assigned = 0
-    val bfs = new HBfs(n)
     val queue = new Array[Int](n)
     val queued = new Array[Boolean](n)
   }
 
-  /** h-BZ (`remeasureBelow = h + 1`) and UpperBound (`remeasureBelow = 1`):
-    * bucket every vertex at its h-degree, from one all-vertex batch, and
-    * peel [0, n−1] one vertex per round. Returns the state, whose `core`
+  /** h-BZ (`remeasureBelow = h + 1`, `paperLiteral`) and UpperBound
+    * (`remeasureBelow = 1`): bucket every vertex at its h-degree, from one
+    * all-vertex batch, and peel [0, n−1]. Returns the state, whose `core`
     * holds the core index (or UB) of every vertex.
     */
-  private[core] def peelHDegrees(g: AdjGraph, h: Int, remeasureBelow: Int,
+  private[core] def peelHDegrees(g: AdjGraph, h: Int, remeasureBelow: Int, paperLiteral: Boolean,
                                  engine: HDegEngine, budget: Budget): State = {
     val n = g.n
     val st = new State(n)
@@ -94,7 +112,7 @@ object CoreDecomp {
     val init = engine.batchHDeg(g, st.alive, Array.range(0, n), h, budget)
     var v = 0
     while (v < n) { st.deg(v) = init(v); st.buckets.add(v, init(v)); v += 1 }
-    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral = true, st, engine, budget)
+    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral, st, engine, budget)
     st
   }
 
@@ -106,7 +124,9 @@ object CoreDecomp {
     val setLB = st.setLB
     val list = st.queue
     val listed = st.queued
-    val bfs = st.bfs
+    val scratch = EngineScratch.get(g.n)
+    val bfs = scratch.bfs
+    val multi = scratch.multi
     val roundMax = if (paperLiteral) 1 else Int.MaxValue
     var k = math.max(0, kmin - 1)
     while (k <= kmax) {
@@ -146,22 +166,20 @@ object CoreDecomp {
         // Discovery, with P alive; flagged vertices go to list(np until nl).
         var nl = np
         i = 0
-        while (i < np) {
-          val cnt = bfs.run(g, alive, list(i), h, budget)
-          val nbrs = bfs.nbrs
-          val dists = bfs.nbrDist
+        while (np - i >= EngineKernels.MinLanes) {
+          val lanes = math.min(MultiHBfs.Lanes, np - i)
+          val m = multi.discover(g, alive, list, i, lanes, h, budget)
           var j = 0
-          while (j < cnt) {
-            val u = nbrs(j)
-            if (!setLB(u) && !listed(u)) {
-              if (dists(j) < remeasureBelow) { list(nl) = u; nl += 1; listed(u) = true }
-              else {
-                deg(u) -= 1
-                buckets.move(u, math.max(deg(u), k))
-              }
-            }
+          while (j < m) {
+            nl = reach(st, multi.found(j), multi.foundRound(j), multi.foundLanes(j), k, remeasureBelow, nl)
             j += 1
           }
+          i += lanes
+        }
+        while (i < np) {
+          val m = bfs.run(g, alive, list(i), h, budget)
+          var j = 0
+          while (j < m) { nl = reach(st, bfs.nbrs(j), bfs.nbrDist(j), 1, k, remeasureBelow, nl); j += 1 }
           i += 1
         }
         i = 0
@@ -182,4 +200,18 @@ object CoreDecomp {
       }
     }
   }
+
+  /** Discovery reached `u` at distance `d` from `cnt` peeled vertices, at
+    * level `k`: flags u (appended at `list(nl)`) or drops its h-degree by
+    * `cnt`. Returns the new end of the list. Skips peeled, flagged and
+    * lower-bounded vertices.
+    */
+  private def reach(st: State, u: Int, d: Int, cnt: Int, k: Int, remeasureBelow: Int, nl: Int): Int =
+    if (st.setLB(u) || st.queued(u)) nl
+    else if (d < remeasureBelow) { st.queue(nl) = u; st.queued(u) = true; nl + 1 }
+    else {
+      st.deg(u) -= cnt
+      st.buckets.move(u, math.max(st.deg(u), k))
+      nl
+    }
 }

@@ -12,7 +12,7 @@ object HBZ {
                 budget: Budget = Budget.unlimited()): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
-    val st = CoreDecomp.peelHDegrees(g, h, remeasureBelow = h + 1, engine, budget)
+    val st = CoreDecomp.peelHDegrees(g, h, remeasureBelow = h + 1, paperLiteral = true, engine, budget)
     CoreResult(st.core, st.order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

@@ -75,8 +75,10 @@ final class HBfs(n: Int) {
   *
   * One instance per thread. Only alive vertices (and the sources) ever get
   * a bit; `touched` lists them, so a reset costs O(touched), not O(n).
-  * Each lane's h-degree and visits are exactly those of [[HBfs.run]] from
-  * its source.
+  * Each lane's visits are exactly those of [[HBfs.run]] from its source.
+  * One traversal serves two outputs: [[run]] gives each lane's h-degree,
+  * [[discover]] each reached vertex's distance to the block and the number
+  * of lanes that reached it.
   */
 final class MultiHBfs(n: Int) {
   private val seen = new Array[Long](n)
@@ -84,12 +86,27 @@ final class MultiHBfs(n: Int) {
   // this one (`next`); the arrays swap roles every round.
   private var visit = new Array[Long](n)
   private var next = new Array[Long](n)
+  // Reached vertices in the order first reached: touched(roundEnd(r − 1)
+  // until roundEnd(r)) in round r, the sources (round 0) first.
   private val touched = new Array[Int](n)
+  private var roundEnd = new Array[Int](8)
   private var frontier = new Array[Int](n)
   private var reached = new Array[Int](n)
   // Bit-sliced per-lane counters: bit i of planes(p) is bit p of the number
   // of vertices lane i has seen, so adding a `seen` word is a carry chain.
   private val planes = new Array[Long](32)
+  // Counting-sort cursors of [[discover]], one per lowest lane (+ 1).
+  private val slot = new Array[Int](MultiHBfs.Lanes + 1)
+
+  /** After [[discover]] returns m: `found(0 until m)` are the vertices some
+    * lane reached (the sources included), `foundRound(i)` is the round in
+    * which a lane first reached `found(i)` (its distance to the nearest
+    * source, 0 for a source) and `foundLanes(i)` the number of lanes that
+    * reached it.
+    */
+  val found = new Array[Int](n)
+  val foundRound = new Array[Int](n)
+  val foundLanes = new Array[Int](n)
 
   /** h-degrees of the `lanes` (1..64) sources `vertices(from until
     * from + lanes)`, written to the same slots of `out`. A source is
@@ -99,6 +116,85 @@ final class MultiHBfs(n: Int) {
     */
   def run(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
           h: Int, budget: Budget, out: Array[Int]): Unit = {
+    val nTouched = traverse(g, alive, vertices, from, lanes, h)
+    // Every lane of seen(w) has w as one visit; all but the source are
+    // h-neighbours. Sum the lanes of each word into the counters and reset.
+    var visits = 0L
+    var top = 0 // planes in use
+    var i = 0
+    while (i < nTouched) {
+      val w = touched(i)
+      var carry = seen(w)
+      seen(w) = 0L
+      visits += java.lang.Long.bitCount(carry)
+      var p = 0
+      while (carry != 0L) {
+        val c = planes(p)
+        planes(p) = c ^ carry
+        carry &= c
+        p += 1
+      }
+      if (p > top) top = p
+      i += 1
+    }
+    i = 0
+    while (i < lanes) { out(from + i) = -1; i += 1 }
+    var p = 0
+    while (p < top) {
+      var x = planes(p)
+      planes(p) = 0L
+      while (x != 0L) {
+        out(from + java.lang.Long.numberOfTrailingZeros(x)) += 1 << p
+        x &= x - 1
+      }
+      p += 1
+    }
+    budget.merge(visits, lanes)
+    budget.check()
+  }
+
+  /** The same traversal as [[run]], read out per reached vertex instead of
+    * per lane: returns m and fills `found`, `foundRound` and `foundLanes`.
+    * `found` lists the vertices grouped by the lowest lane that reached
+    * them (a stable counting sort of the reach order), so the vertices near
+    * one source stay together, as in one [[HBfs.run]] per source. Charges
+    * what [[run]] charges.
+    */
+  def discover(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
+               h: Int, budget: Budget): Int = {
+    val nTouched = traverse(g, alive, vertices, from, lanes, h)
+    java.util.Arrays.fill(slot, 0)
+    var i = 0
+    while (i < nTouched) { slot(java.lang.Long.numberOfTrailingZeros(seen(touched(i))) + 1) += 1; i += 1 }
+    i = 1
+    while (i <= lanes) { slot(i) += slot(i - 1); i += 1 }
+    var visits = 0L
+    var r = 0
+    i = 0
+    while (i < nTouched) {
+      while (i >= roundEnd(r)) r += 1
+      val w = touched(i)
+      val s = seen(w)
+      seen(w) = 0L
+      val c = java.lang.Long.bitCount(s)
+      visits += c
+      val lane = java.lang.Long.numberOfTrailingZeros(s)
+      val at = slot(lane)
+      slot(lane) = at + 1
+      found(at) = w; foundRound(at) = r; foundLanes(at) = c
+      i += 1
+    }
+    budget.merge(visits, lanes)
+    budget.check()
+    nTouched
+  }
+
+  /** The block's h-BFS: leaves every reached vertex's lanes in `seen`, the
+    * vertices in `touched` by round, and `visit` all zero. Returns the
+    * number of reached vertices.
+    */
+  private def traverse(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
+                       h: Int): Int = {
     require(lanes >= 1 && lanes <= MultiHBfs.Lanes, s"lanes $lanes not in [1, ${MultiHBfs.Lanes}]")
     var nTouched = 0
     var nFrontier = 0
@@ -110,6 +206,7 @@ final class MultiHBfs(n: Int) {
       visit(s) |= 1L << i
       i += 1
     }
+    roundEnd(0) = nTouched
     var round = 1
     while (round <= h && nFrontier > 0) {
       val last = round == h
@@ -143,44 +240,13 @@ final class MultiHBfs(n: Int) {
       val v = visit; visit = next; next = v
       val f = frontier; frontier = reached; reached = f
       nFrontier = nReached
+      if (round == roundEnd.length) roundEnd = java.util.Arrays.copyOf(roundEnd, 2 * round)
+      roundEnd(round) = nTouched
       round += 1
     }
     i = 0
     while (i < nFrontier) { visit(frontier(i)) = 0L; i += 1 }
-    // Every lane of seen(w) has w as one visit; all but the source are
-    // h-neighbours. Sum the lanes of each word into the counters and reset.
-    var visits = 0L
-    var top = 0 // planes in use
-    i = 0
-    while (i < nTouched) {
-      val w = touched(i)
-      var carry = seen(w)
-      seen(w) = 0L
-      visits += java.lang.Long.bitCount(carry)
-      var p = 0
-      while (carry != 0L) {
-        val c = planes(p)
-        planes(p) = c ^ carry
-        carry &= c
-        p += 1
-      }
-      if (p > top) top = p
-      i += 1
-    }
-    i = 0
-    while (i < lanes) { out(from + i) = -1; i += 1 }
-    var p = 0
-    while (p < top) {
-      var x = planes(p)
-      planes(p) = 0L
-      while (x != 0L) {
-        out(from + java.lang.Long.numberOfTrailingZeros(x)) += 1 << p
-        x &= x - 1
-      }
-      p += 1
-    }
-    budget.merge(visits, lanes)
-    budget.check()
+    nTouched
   }
 }
 

@@ -51,8 +51,9 @@ private[repro] object EngineKernels {
     * per-vertex h-BFS. `KernelCrossoverBench` measures the time ratio of
     * the two by batch size: the 64-lane kernel is ahead from 8–15-vertex
     * batches on the comm, hub and road benchmark graphs, and behind below 8.
+    * CoreDecomp's round discovery follows the same rule.
     */
-  private final val MinLanes = 8
+  private[core] final val MinLanes = 8
 
   /** The h-degree kernel shared by the engines: blocks of up to 64 vertices
     * go through [[MultiHBfs]], and a batch or tail under 8 vertices

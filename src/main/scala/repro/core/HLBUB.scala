@@ -44,15 +44,16 @@ object HLBUB {
   /** LB1 → LB2 → UB (or the trivial h-degree bound), then the intervals of
     * `s` distinct UB values each; None ⇒ adaptive (≈ 12 intervals). The
     * engine sees these three all-vertex batches in exactly this order.
+    * UB peels in rounds unless `paperLiteral` (see [[Bounds.upperBound]]).
     */
   def plan(g: AdjGraph, h: Int, engine: HDegEngine, budget: Budget,
-           s: Option[Int], useHDegAsUB: Boolean = false): Plan = {
+           s: Option[Int], useHDegAsUB: Boolean = false, paperLiteral: Boolean = false): Plan = {
     // Initial h-degrees are part of UB's computation.
     val l1 = Bounds.lb1(g, h, engine, budget)
     val lb2 = Bounds.lb2(g, h, l1, engine, budget)
     val ub =
       if (useHDegAsUB) Bounds.hDegUB(g, h, engine, budget)
-      else Bounds.upperBound(g, h, engine, budget)
+      else Bounds.upperBound(g, h, engine, budget, paperLiteral)
     val uDesc = (ub.distinct :+ (lb2.min - 1)).distinct.sortBy(-_)
     val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
     Plan(lb2, ub, intervals(uDesc, sVal))
@@ -72,7 +73,11 @@ object HLBUB {
 
   /** Algorithm 6 over the open (unassigned) vertices `open` of V[kmin].
     * Mutates `alive` (removing pruned vertices), `st.lb3` (monotone max
-    * with the Property-3 bound) and `st.deg`.
+    * with the Property-3 bound) and `st.deg`, and leaves `setLB` raised on
+    * exactly the open vertices whose `deg` the cascade decremented: the
+    * `deg` of any other survivor is its h-degree in the final alive set (a
+    * removed vertex within distance h of it would have reached it, so its
+    * h-ball is untouched).
     *
     * Alg. 6 as written measures every vertex of V[kmin]. Skipping the
     * vertices a higher interval has assigned leaves the pruned set, LB3 and
@@ -105,6 +110,7 @@ object HLBUB {
     var i = 0
     while (i < open.length) {
       deg(open(i)) = degs(i)
+      st.setLB(open(i)) = false
       if (degs(i) < minDeg) minDeg = degs(i)
       i += 1
     }
@@ -119,7 +125,7 @@ object HLBUB {
     // Cascading clean-up: upper-bounded h-degrees (decrement-by-1) below
     // kmin can never reach core kmin inside this interval. FIFO over
     // `st.queue`; each vertex is queued at most once per interval.
-    val bfs = st.bfs
+    val bfs = EngineScratch.get(g.n).bfs
     val queue = st.queue
     val queued = st.queued
     var head = 0; var tail = 0
@@ -139,6 +145,7 @@ object HLBUB {
           val u = bfs.nbrs(j)
           if (core(u) < 0) {
             deg(u) -= 1
+            st.setLB(u) = true
             if (deg(u) < kmin && !queued(u)) { queue(tail) = u; tail += 1; queued(u) = true }
           }
           j += 1
@@ -151,8 +158,16 @@ object HLBUB {
 
   /** Alg. 4 lines 12–18 for one interval [kmin,kmax]: build V[kmin], clean
     * and tighten it with ImproveLB, bucket the survivors at
-    * max(core, LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` for
-    * every vertex whose core index lies in the interval.
+    * max(LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` for every
+    * vertex whose core index lies in the interval.
+    *
+    * In rounds, a survivor whose `deg` ImproveLB left exact and whose LB3
+    * is at most kmin−1 goes straight into bucket `deg` with `setLB` down:
+    * CoreDecomp's first round pops all of bucket kmin−1 and measures it on
+    * the alive set ImproveLB leaves, so it would measure the same value
+    * again. Every later round is unchanged; only those h-BFS disappear.
+    * One vertex per round (`paperLiteral`) may peel between two of those
+    * measures, so there every survivor waits at its lower bound.
     */
   def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int, plan: Plan, st: State,
                   engine: HDegEngine, budget: Budget, paperLiteral: Boolean): Unit = {
@@ -174,14 +189,18 @@ object HLBUB {
     while (v < n) { if (alive(v) && st.core(v) < 0) { open(size) = v; size += 1 }; v += 1 }
     // Lines 13–14: clean + tighten (Alg. 6).
     improveLB(g, h, kmin, alive, open, plan.lb2, st, engine, budget)
-    // Lines 15–17: bucket the open survivors at their best-known floor.
-    // Assigned ones stay alive and unbucketed, with `setLB` raised.
+    // Lines 15–17: bucket the open survivors at their best-known floor,
+    // or at their h-degree where ImproveLB measured it. Assigned ones stay
+    // alive and unbucketed, with `setLB` raised.
     val floor = math.max(0, kmin - 1)
     v = 0
     while (v < n) {
       if (alive(v)) {
-        if (st.core(v) < 0) buckets.add(v, math.max(st.lb3(v), floor))
-        st.setLB(v) = true
+        if (st.core(v) >= 0) st.setLB(v) = true
+        else if (paperLiteral || st.setLB(v) || st.lb3(v) > floor) {
+          buckets.add(v, math.max(st.lb3(v), floor))
+          st.setLB(v) = true
+        } else buckets.add(v, st.deg(v))
       }
       v += 1
     }
@@ -199,8 +218,9 @@ object HLBUB {
     *                (≈ 12 intervals), the default used by the benches
     * @param useHDegAsUB Table 5 ablation: replace Alg. 5's UB with the
     *                trivial h-degree upper bound
-    * @param paperLiteral peel one vertex per CoreDecomp round (Alg. 3 as
-    *                written) instead of a whole bucket
+    * @param paperLiteral peel one vertex per UpperBound and CoreDecomp
+    *                round (Alg. 5 and 3 as written) instead of a whole
+    *                bucket
     */
   def decompose(g: AdjGraph, h: Int,
                 engine: HDegEngine,
@@ -211,7 +231,7 @@ object HLBUB {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
     if (g.n == 0) return CoreResult(Array.empty, Array.empty, 0, 0, 0)
-    val p = plan(g, h, engine, budget, s, useHDegAsUB)
+    val p = plan(g, h, engine, budget, s, useHDegAsUB, paperLiteral)
     val st = new State(g.n)
     // ends(i): end of interval i's block in `st.order`.
     val ends = new Array[Int](p.intervals.length)

@@ -21,10 +21,10 @@ object Algo {
   * in runtime and in the number of h-BFS visits they spend — the quantities
   * Tables 3 and 5 compare.
   *
-  * h-LB and h-LB+UB peel each bucket in level-synchronous rounds by
-  * default; `paperLiteral` selects Alg. 3 as written, one vertex per round,
-  * whose visit counts are the ones the paper's tables compare. h-BZ always
-  * runs as written.
+  * h-LB and h-LB+UB (its CoreDecomp and its UpperBound) peel each bucket
+  * in level-synchronous rounds by default; `paperLiteral` selects Alg. 3
+  * and 5 as written, one vertex per round, whose visit counts are the ones
+  * the paper's tables compare. h-BZ always runs as written.
   */
 object KHCore {
 

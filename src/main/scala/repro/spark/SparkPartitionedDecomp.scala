@@ -8,7 +8,8 @@ import repro.core._
   * run as its own Spark task over the broadcast graph — the first
   * parallelization option discussed in §4.6.
   *
-  * Each task runs the interval routine of [[HLBUB]] (build V[kmin], clean it
+  * The driver computes the plan with UpperBound as Alg. 5 is written. Each
+  * task runs the interval routine of [[HLBUB]] (build V[kmin], clean it
   * with ImproveLB, peel it with CoreDecomp as Alg. 3 is written) on a fresh
   * state, and emits the vertices whose core index lies inside its interval,
   * in assignment order, with their cores; the driver merges them, and
@@ -29,7 +30,7 @@ object SparkPartitionedDecomp {
     val budget = Budget.unlimited()
 
     // Bounds on the driver (one-shot; these are the partition keys).
-    val plan = HLBUB.plan(g, h, new SequentialEngine(n), budget, s)
+    val plan = HLBUB.plan(g, h, new SequentialEngine(n), budget, s, paperLiteral = true)
 
     val graphBc = sc.broadcast(g)
     val planBc = sc.broadcast(plan)

@@ -11,8 +11,8 @@ import repro.spark.SparkPartitionedDecomp
   * but silently moves work between bounds, ImproveLB and peeling.
   *
   * The values recorded before level-synchronous rounds existed are checked
-  * on the paper-literal path (one vertex per CoreDecomp round); the default
-  * round path has its own rows.
+  * on the paper-literal path (one vertex per UpperBound and CoreDecomp
+  * round); the default round path has its own rows.
   *
   * The h-LB+UB values recorded are those of Alg. 6 as written, which measures every
   * vertex of V[kmin]. The sequential paths skip the vertices a higher
@@ -45,7 +45,8 @@ class WorkCountersSpec extends SparkSpec {
     * V[kmin] whose core index exceeds kmax. */
   private def skippedWork(g: AdjGraph, h: Int, core: Array[Int],
                           s: Option[Int], useHDegAsUB: Boolean): (Long, Long) = {
-    val plan = HLBUB.plan(g, h, new SequentialEngine(g.n), Budget.unlimited(), s, useHDegAsUB)
+    val plan = HLBUB.plan(g, h, new SequentialEngine(g.n), Budget.unlimited(), s, useHDegAsUB,
+                          paperLiteral = true)
     val bfs = new HBfs(g.n)
     val budget = Budget.unlimited()
     for ((kmin, kmax) <- plan.intervals) {
@@ -73,7 +74,7 @@ class WorkCountersSpec extends SparkSpec {
     val peels: Seq[(String, Budget => Unit)] = Seq(
       "h-BZ" -> exact(Algo.HBZ),
       "h-LB" -> exact(Algo.HLB),
-      "UpperBound" -> (b => Bounds.upperBound(g, h, new SequentialEngine(g.n), b)))
+      "UpperBound" -> (b => Bounds.upperBound(g, h, new SequentialEngine(g.n), b, paperLiteral = true)))
     for ((path, run) <- peels)
       test(s"work counters of $path on $name (h=$h)") {
         val b = Budget.unlimited()
@@ -84,7 +85,10 @@ class WorkCountersSpec extends SparkSpec {
 
   test("UpperBound values on figure1 (h=2)") {
     val g = GraphGen.figure1
-    assert(Bounds.upperBound(g, 2, new SequentialEngine(g.n)).toSeq == Seq(4, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6))
+    val expectedUB = 4 +: Seq.fill(12)(6)
+    for (paperLiteral <- Seq(true, false))
+      assert(Bounds.upperBound(g, 2, new SequentialEngine(g.n), paperLiteral = paperLiteral).toSeq == expectedUB,
+             s"paperLiteral=$paperLiteral")
   }
 
   for ((name, h, g) <- graphs) {
@@ -112,16 +116,22 @@ class WorkCountersSpec extends SparkSpec {
   }
 
   /** (graph, path) -> (visits, bfsCount) of the default level-synchronous
-    * rounds, recorded when rounds were introduced. */
+    * rounds. h-LB's were recorded when rounds were introduced; round
+    * discovery through the 64-lane kernel left them unchanged. The h-LB+UB
+    * rows were re-recorded when UpperBound moved to rounds (its discovery
+    * h-BFS pass through P, and its values, so the intervals, change) and
+    * rounds began to reuse ImproveLB's exact h-degrees (fewer measures). */
   private val expectedRounds: Map[(String, String), (Long, Long)] = Map(
     ("figure1", "h-LB")           -> (319L, 59L),
-    ("figure1", "h-LB+UB S=None") -> (590L, 98L),
-    ("figure1", "h-LB+UB S=1")    -> (590L, 98L),
+    ("figure1", "h-LB+UB S=None") -> (606L, 98L),
+    ("figure1", "h-LB+UB S=1")    -> (606L, 98L),
     ("figure1", "h-LB+UB hDegUB") -> (717L, 127L),
+    ("figure1", "UpperBound")     -> (182L, 26L),
     ("ba-120", "h-LB")            -> (52355L, 904L),
-    ("ba-120", "h-LB+UB S=None")  -> (58180L, 1082L),
-    ("ba-120", "h-LB+UB S=1")     -> (52551L, 1027L),
-    ("ba-120", "h-LB+UB hDegUB")  -> (95916L, 1941L))
+    ("ba-120", "h-LB+UB S=None")  -> (56956L, 1037L),
+    ("ba-120", "h-LB+UB S=1")     -> (53564L, 1011L),
+    ("ba-120", "h-LB+UB hDegUB")  -> (95671L, 1936L),
+    ("ba-120", "UpperBound")      -> (16286L, 240L))
 
   for ((name, h, g) <- graphs; (path, algo) <- Seq(
          "h-LB" -> Algo.HLB, "h-LB+UB S=None" -> Algo.HLBUB(None),
@@ -132,16 +142,27 @@ class WorkCountersSpec extends SparkSpec {
       assert((r.visits, r.bfsCount) == expectedRounds((name, path)))
     }
 
+  for ((name, h, g) <- graphs)
+    test(s"work counters of UpperBound in rounds on $name (h=$h)") {
+      val b = Budget.unlimited()
+      val ub = Bounds.upperBound(g, h, new SequentialEngine(g.n), b)
+      val core = NaiveCore.decompose(g, h)
+      assert(core.indices.forall(v => core(v) <= ub(v)))
+      assert((b.visits, b.bfsCount) == expectedRounds((name, "UpperBound")))
+    }
+
   test("a visit budget raises BudgetExceeded in the middle of a round") {
     // C30 at h=2: LB1 = LB2 = 2, every h-degree is 4. h-LB spends 90 BFS
     // (330 visits) on LB1, LB2 and one batch measuring all 30 vertices,
     // then peels all 30 in one round at k = 4, one 5-visit discovery BFS
-    // each. A budget of 380 visits is exceeded by the 11th of them.
+    // each, run as one 30-lane block that charges its 150 visits at once.
+    // A budget of 380 visits is exceeded by that block, before P is
+    // removed.
     val g = GraphGen.cycle(30)
     val full = KHCore.decompose(g, 2, Algo.HLB)
     assert(full.core.forall(_ == 4) && (full.visits, full.bfsCount) == (480L, 120L))
     val b = new Budget(maxVisits = 380)
     intercept[BudgetExceeded](KHCore.decompose(g, 2, Algo.HLB, budget = b))
-    assert((b.visits, b.bfsCount) == (385L, 101L))
+    assert((b.visits, b.bfsCount) == (480L, 120L))
   }
 }

@@ -17,12 +17,15 @@ class BoundsSpec extends AnyFunSuite {
     "grid" -> GraphGen.gridRoad(6, 7, 0.9, 13),
     "comm" -> GraphGen.communities(3, 12, 0.4, 0.03, 14))
 
-  for ((name, g) <- graphs; h <- 2 to 4)
-    test(s"bound sandwich LB1 <= LB2 <= core <= UB <= h-degree ($name, h=$h)") {
+  // UpperBound in level-synchronous rounds (the default) and as Alg. 5 is
+  // written.
+  for ((name, g) <- graphs; h <- 2 to 4; paperLiteral <- Seq(false, true))
+    test(s"bound sandwich LB1 <= LB2 <= core <= UB <= h-degree ($name, h=$h" +
+         (if (paperLiteral) ", paper-literal UB)" else ")")) {
       val eng = new SequentialEngine(g.n)
       val core = NaiveCore.decompose(g, h)
       val (l1, l2) = Bounds.lowerBounds(g, h, eng)
-      val ub = Bounds.upperBound(g, h, eng)
+      val ub = Bounds.upperBound(g, h, eng, paperLiteral = paperLiteral)
       val hd = Bounds.hDegUB(g, h, eng)
       for (v <- 0 until g.n) {
         assert(l1(v) <= l2(v), s"v=$v LB1>LB2")

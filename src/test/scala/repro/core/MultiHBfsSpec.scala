@@ -10,7 +10,9 @@ import scala.jdk.CollectionConverters._
 /** The 64-lane h-BFS kernel ([[MultiHBfs]]) and the engines that route
   * batches through it must be indistinguishable from one per-vertex
   * [[HBfs.run]] per source: same h-degrees, same visits, same BFS count,
-  * on any graph, alive mask and batch (dead and repeated sources included).
+  * on any graph, alive mask and batch (dead and repeated sources included);
+  * its discovery output gives each reached vertex the minimum distance and
+  * the number of sources that the per-source runs give.
   * The engines keep their h-BFS scratch per thread, not per engine:
   * building one is free, a thread's scratch grows to the largest graph it
   * has served and is reused, and a one-thread engine starts no thread.
@@ -95,6 +97,50 @@ class MultiHBfsSpec extends AnyFunSuite {
       val expected = perVertex(c.g, c.alive, batch.slice(100, 140), c.h)._1
       assert(out.slice(100, 140).toSeq == expected, c.toString)
       assert(out.take(100).forall(_ == -7) && out.drop(140).forall(_ == -7), c.toString)
+    }
+  }
+
+  /** Per-vertex h-BFS from each source of `batch`, read per reached vertex
+    * u (the sources at distance 0): (u -> (minimum distance, number of
+    * sources reaching u)), u -> the first source (batch index) reaching u,
+    * visits and BFS count. */
+  private def perVertexReach(g: AdjGraph, alive: Array[Boolean], batch: Array[Int], h: Int)
+      : (Map[Int, (Int, Int)], Map[Int, Int], Long, Long) = {
+    val bfs = new HBfs(g.n)
+    val b = Budget.unlimited()
+    val reach = scala.collection.mutable.Map.empty[Int, (Int, Int)]
+    val firstLane = scala.collection.mutable.Map.empty[Int, Int]
+    for ((s, lane) <- batch.zipWithIndex) {
+      val cnt = bfs.run(g, alive, s, h, b)
+      for ((u, d) <- (s, 0) +: (0 until cnt).map(j => (bfs.nbrs(j), bfs.nbrDist(j)))) {
+        reach(u) = reach.get(u).fold((d, 1)) { case (d0, c) => (math.min(d0, d), c + 1) }
+        firstLane.getOrElseUpdate(u, lane)
+      }
+    }
+    (reach.toMap, firstLane.toMap, b.visits, b.bfsCount)
+  }
+
+  test("property: a discovery block reports each vertex's distance and lane count as per-vertex h-BFS do") {
+    forAllSampled(genCase) { c =>
+      val ms = new MultiHBfs(c.g.n)
+      val blocks = c.batches.filter(_.length <= 64).map(b => (b, 0, b.length)) :+ ((c.batches.last, 100, 40))
+      for ((batch, from, lanes) <- blocks) {
+        val sources = batch.slice(from, from + lanes)
+        val (reach, firstLane, visits, bfsCount) = perVertexReach(c.g, c.alive, sources, c.h)
+        // Twice, and then as h-degrees: the reset after a block must be complete.
+        for (_ <- 1 to 2) {
+          val b = Budget.unlimited()
+          val m = ms.discover(c.g, c.alive, batch, from, lanes, c.h, b)
+          val got = (0 until m).map(i => ms.found(i) -> ((ms.foundRound(i), ms.foundLanes(i))))
+          assert(got.length == reach.size && got.toMap == reach, s"$c block=$lanes")
+          assert((b.visits, b.bfsCount) == ((visits, bfsCount)), s"$c block=$lanes")
+          val lanesInOrder = got.map { case (u, _) => firstLane(u) }
+          assert(lanesInOrder == lanesInOrder.sorted, s"$c block=$lanes: not grouped by lowest lane")
+        }
+        val out = new Array[Int](batch.length)
+        ms.run(c.g, c.alive, batch, from, lanes, c.h, Budget.unlimited(), out)
+        assert(out.slice(from, from + lanes).toSeq == perVertex(c.g, c.alive, sources, c.h)._1, s"$c block=$lanes")
+      }
     }
   }
 

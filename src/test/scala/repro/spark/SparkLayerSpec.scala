@@ -74,6 +74,28 @@ class SparkLayerSpec extends SparkSpec {
     } finally eng.shutdown()
   }
 
+  test("SparkEngine stops a distributed batch at the caller's visit budget and deadline") {
+    val g = GraphGen.ba(3000, 4, 2, 5)
+    val eng = new SparkEngine(spark, g)
+    try {
+      val alive = Array.fill(g.n)(true)
+      val all = Array.range(0, g.n)
+      val full = Budget.unlimited()
+      new SequentialEngine(g.n).batchHDeg(g, alive, all, 3, full)
+      // Each task stops at most one 64-lane block past its budget.
+      val bfs = new HBfs(g.n)
+      val block = 64L * all.map(v => bfs.run(g, alive, v, 3, Budget.unlimited()) + 1).max
+      val tasks = spark.sparkContext.defaultParallelism
+      val b = new Budget(maxVisits = 1000)
+      intercept[BudgetExceeded](eng.batchHDeg(g, alive, all, 3, b))
+      assert(b.visits > 1000 && b.visits <= tasks * (1000 + block) && b.visits < full.visits,
+             s"visits ${b.visits} of ${full.visits}, $tasks tasks, block $block")
+      val late = new Budget(deadlineNanos = System.nanoTime())
+      intercept[BudgetExceeded](eng.batchHDeg(g, alive, all, 3, late))
+      assert(late.visits > 0 && late.visits <= tasks * block, s"visits ${late.visits}, $tasks tasks, block $block")
+    } finally eng.shutdown()
+  }
+
   test("SparkEngine rejects a graph other than its own") {
     val g = GraphGen.cycle(40)
     val other = GraphGen.path(40) // same n, different edges
