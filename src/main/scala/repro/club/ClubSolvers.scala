@@ -1,6 +1,6 @@
 package repro.club
 
-import repro.core.{AdjGraph, Budget, HBfs}
+import repro.core.{AdjGraph, Bounds, Budget, HBfs, SequentialEngine}
 
 /** Budget/outcome types for the NP-hard maximum h-club solvers. */
 final class ClubBudget(val maxNodes: Long = Long.MaxValue,
@@ -131,7 +131,7 @@ object IterativeClubSolver extends ClubSolver {
     val alive = Array.fill(g.n)(true)
     // process high-h-degree vertices first: they anchor the largest clubs,
     // raising the incumbent early
-    val hdegs = HBfs.allHDegrees(g, h)
+    val hdegs = Bounds.hDegUB(g, h, new SequentialEngine(g.n))
     val order = (0 until g.n).sortBy(v => -hdegs(v))
     val bfs = new HBfs(g.n)
     val bfsBudget = Budget.unlimited()

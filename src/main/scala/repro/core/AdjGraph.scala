@@ -166,12 +166,40 @@ object AdjGraph {
 
   /** Build from an undirected edge list; drops self-loops and duplicates. */
   def fromEdges(n: Int, edgeIt: IterableOnce[(Int, Int)]): AdjGraph = {
-    val sets = Array.fill(n)(mutable.SortedSet.empty[Int])
+    // The edges can be read once: keep their ends, pairwise, and count
+    // each row's length; then fill the rows, sort and dedupe each.
+    var ends = new Array[Int](math.max(16, 2 * edgeIt.knownSize))
+    var m = 0
+    val len = new Array[Int](n)
     edgeIt.iterator.foreach { case (a, b) =>
       require(a >= 0 && a < n && b >= 0 && b < n, s"edge ($a,$b) out of range [0,$n)")
-      if (a != b) { sets(a) += b; sets(b) += a }
+      if (a != b) {
+        if (m == ends.length) ends = java.util.Arrays.copyOf(ends, 2 * m)
+        ends(m) = a; ends(m + 1) = b; m += 2
+        len(a) += 1; len(b) += 1
+      }
     }
-    new AdjGraph(n, sets.map(_.toArray))
+    val adj = new Array[Array[Int]](n)
+    var v = 0
+    while (v < n) { adj(v) = new Array[Int](len(v)); len(v) = 0; v += 1 }
+    var i = 0
+    while (i < m) {
+      val a = ends(i); val b = ends(i + 1)
+      adj(a)(len(a)) = b; len(a) += 1
+      adj(b)(len(b)) = a; len(b) += 1
+      i += 2
+    }
+    v = 0
+    while (v < n) {
+      val row = adj(v)
+      java.util.Arrays.sort(row)
+      var k = 0
+      i = 0
+      while (i < row.length) { if (k == 0 || row(i) != row(k - 1)) { row(k) = row(i); k += 1 }; i += 1 }
+      if (k < row.length) adj(v) = java.util.Arrays.copyOf(row, k)
+      v += 1
+    }
+    new AdjGraph(n, adj)
   }
 
   /** Empty graph on n vertices. */

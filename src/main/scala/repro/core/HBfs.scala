@@ -254,20 +254,3 @@ object MultiHBfs {
   /** Sources per block: one bit of a `Long` each. */
   private[repro] final val Lanes = 64
 }
-
-object HBfs {
-  /** Convenience: one-shot h-degree of every vertex of `g` (all alive). */
-  def allHDegrees(g: AdjGraph, h: Int): Array[Int] = {
-    val alive = Array.fill(g.n)(true)
-    val bfs = new HBfs(g.n)
-    val budget = Budget.unlimited()
-    Array.tabulate(g.n)(v => bfs.run(g, alive, v, h, budget))
-  }
-
-  /** Convenience: h-neighborhood (vertex ids) of `src` among `alive`. */
-  def hNeighborhood(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int): Array[Int] = {
-    val bfs = new HBfs(g.n)
-    val cnt = bfs.run(g, alive, src, h, Budget.unlimited())
-    bfs.nbrs.take(cnt)
-  }
-}

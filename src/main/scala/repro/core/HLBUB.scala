@@ -7,7 +7,9 @@ package repro.core
   * all (k,h)-cores with k ≥ i live inside V[i] = {v : UB(v) ≥ i}, so each
   * interval [kmin,kmax] is a totally independent sub-computation on
   * G[V[kmin]], visited **top-down** so the expensive high-core vertices are
-  * peeled early and never touched again.
+  * peeled early and never touched again. Any contiguous top-down tiling
+  * keeps that argument, so by default the width doubles after an interval
+  * that assigns no vertex (see [[decompose]]).
   *
   * Before peeling an interval, [[improveLB]] (Alg. 6) prunes V[kmin] of
   * vertices that provably cannot reach core kmin (power-graph-style
@@ -25,25 +27,63 @@ object HLBUB {
     * has `min LB2 − 1` appended as its last element.
     */
   def intervals(uDesc: Array[Int], s: Int): Seq[(Int, Int)] = {
-    require(s >= 1, "partition size S must be >= 1")
     val out = Seq.newBuilder[(Int, Int)]
-    var idx = 0
-    while (idx < uDesc.length - 1) {
-      val nextIdx = math.min(idx + s, uDesc.length - 1)
-      out += ((uDesc(nextIdx) + 1, uDesc(idx)))
-      idx = nextIdx
-    }
+    tile(uDesc, s) { (kmin, kmax) => out += ((kmin, kmax)); false }
     out.result()
   }
 
-  /** Alg. 4 lines 3–11: the bounds and the top-down list of intervals.
+  /** The one interval loop: tiles `uDesc` top-down into intervals of `s`
+    * contiguous values, calling `step(kmin, kmax)` on each in turn, and
+    * doubles the width for the rest of the tiling whenever `step` returns
+    * true. Any contiguous top-down tiling keeps Obs. 3's argument, so the
+    * cores do not depend on the widths.
+    */
+  private def tile(uDesc: Array[Int], s: Int)(step: (Int, Int) => Boolean): Unit = {
+    require(s >= 1, "partition size S must be >= 1")
+    var width = s
+    var idx = 0
+    while (idx < uDesc.length - 1) {
+      val nextIdx = math.min(idx + width, uDesc.length - 1)
+      if (step(uDesc(nextIdx) + 1, uDesc(idx)) && width < uDesc.length) width *= 2
+      idx = nextIdx
+    }
+  }
+
+  /** The distinct values of `ub` and `floor`, in descending order (the U of
+    * Alg. 4 line 11): one mark per value between the least and the
+    * greatest, so no boxing, no sort and no copy of `ub`. UB values are
+    * h-degrees or less, so that range is at most n + 1 wide.
+    */
+  private[core] def descendingDistinct(ub: Array[Int], floor: Int): Array[Int] = {
+    var lo = floor
+    var hi = floor
+    var i = 0
+    while (i < ub.length) { if (ub(i) < lo) lo = ub(i); if (ub(i) > hi) hi = ub(i); i += 1 }
+    val seen = new Array[Boolean](hi - lo + 1)
+    seen(floor - lo) = true
+    var distinct = 1
+    i = 0
+    while (i < ub.length) { if (!seen(ub(i) - lo)) { seen(ub(i) - lo) = true; distinct += 1 }; i += 1 }
+    val out = new Array[Int](distinct)
+    var m = 0
+    var k = hi - lo
+    while (k >= 0) { if (seen(k)) { out(m) = lo + k; m += 1 }; k -= 1 }
+    out
+  }
+
+  /** Alg. 4 lines 3–11: the bounds, the descending distinct UB values
+    * `uDesc` (with `min LB2 − 1` appended) and the interval width `s`.
     * `lb2` seeds LB3 in ImproveLB; `ub` defines each V[kmin].
     */
-  final case class Plan(lb2: Array[Int], ub: Array[Int], intervals: Seq[(Int, Int)])
+  final case class Plan(lb2: Array[Int], ub: Array[Int], uDesc: Array[Int], s: Int) {
+    /** The intervals of exactly `s` values each (Alg. 4 as written). */
+    def intervals: Seq[(Int, Int)] = HLBUB.intervals(uDesc, s)
+  }
 
-  /** LB1 → LB2 → UB (or the trivial h-degree bound), then the intervals of
-    * `s` distinct UB values each; None ⇒ adaptive (≈ 12 intervals). The
-    * engine sees these three all-vertex batches in exactly this order.
+  /** LB1 → LB2 → UB (or the trivial h-degree bound), then the width: `s`
+    * distinct UB values, None ⇒ ⌈(|U|−1)/12⌉ (≈ 12 intervals), where the
+    * default run starts (see [[decompose]]). The engine sees these three
+    * all-vertex batches in exactly this order.
     * UB peels in rounds unless `paperLiteral` (see [[Bounds.upperBound]]).
     */
   def plan(g: AdjGraph, h: Int, engine: HDegEngine, budget: Budget,
@@ -54,9 +94,9 @@ object HLBUB {
     val ub =
       if (useHDegAsUB) Bounds.hDegUB(g, h, engine, budget)
       else Bounds.upperBound(g, h, engine, budget, paperLiteral)
-    val uDesc = (ub.distinct :+ (lb2.min - 1)).distinct.sortBy(-_)
+    val uDesc = descendingDistinct(ub, lb2.min - 1)
     val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
-    Plan(lb2, ub, intervals(uDesc, sVal))
+    Plan(lb2, ub, uDesc, sVal)
   }
 
   /** The peeling state plus LB3, for a whole run. Shared across intervals,
@@ -214,8 +254,10 @@ object HLBUB {
     * visited top-down. The result's order lists the intervals from lowest
     * to highest, each in its own assignment order.
     *
-    * @param s       interval width in distinct UB values; None ⇒ adaptive
-    *                (≈ 12 intervals), the default used by the benches
+    * @param s       interval width in distinct UB values; None ⇒ start at
+    *                ⌈(|U|−1)/12⌉ and double after every interval that
+    *                assigns no vertex (the default used by the benches;
+    *                `paperLiteral` keeps the start width throughout)
     * @param useHDegAsUB Table 5 ablation: replace Alg. 5's UB with the
     *                trivial h-degree upper bound
     * @param paperLiteral peel one vertex per UpperBound and CoreDecomp
@@ -233,11 +275,20 @@ object HLBUB {
     if (g.n == 0) return CoreResult(Array.empty, Array.empty, 0, 0, 0)
     val p = plan(g, h, engine, budget, s, useHDegAsUB, paperLiteral)
     val st = new State(g.n)
-    // ends(i): end of interval i's block in `st.order`.
-    val ends = new Array[Int](p.intervals.length)
-    for (((kmin, kmax), i) <- p.intervals.zipWithIndex) {
+    // An interval that assigns no vertex shows that every open vertex of
+    // its V[kmin] has core < kmin: UB overshoots the cores there. The
+    // default then doubles the width for the rest of the run.
+    val widen = s.isEmpty && !paperLiteral
+    // ends(i): end of interval i's block in `st.order`. Widening only
+    // lowers the count of intervals.
+    val ends = new Array[Int]((p.uDesc.length - 2) / p.s + 1)
+    var count = 0
+    tile(p.uDesc, p.s) { (kmin, kmax) =>
+      val before = st.assigned
       runInterval(g, h, kmin, kmax, p, st, engine, budget, paperLiteral)
-      ends(i) = st.assigned
+      ends(count) = st.assigned
+      count += 1
+      widen && st.assigned == before
     }
     // Reverse the block sequence in place: reverse the whole order, then
     // each block back into its own order.
@@ -245,7 +296,8 @@ object HLBUB {
     val n = st.assigned
     reverse(order, 0, n)
     var start = 0
-    for (end <- ends) { reverse(order, n - end, n - start); start = end }
+    var i = 0
+    while (i < count) { reverse(order, n - ends(i), n - start); start = ends(i); i += 1 }
     CoreResult(st.core, order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 

@@ -46,18 +46,6 @@ object KHCore {
     }
   }
 
-  /** Size of each non-empty (k,h)-core, k = 0 .. max core index. */
-  def coreSizes(core: Array[Int]): Array[Int] = {
-    if (core.isEmpty) return Array.empty
-    // |C_k| = number of vertices with core index >= k: a suffix sum over
-    // the per-index histogram.
-    val sizes = new Array[Int](core.max + 1)
-    core.foreach(c => sizes(c) += 1)
-    var k = sizes.length - 2
-    while (k >= 0) { sizes(k) += sizes(k + 1); k -= 1 }
-    sizes
-  }
-
   /** h-degeneracy: the largest k with a non-empty (k,h)-core. */
   def degeneracy(core: Array[Int]): Int = if (core.isEmpty) 0 else core.max
 }

@@ -12,6 +12,23 @@ class AdjGraphSpec extends AnyFunSuite {
     assert(g.adj(2).toSeq == Seq(3))
   }
 
+  test("fromEdges builds the rows a sorted set per vertex builds, on random edge lists") {
+    // Duplicates, self-loops and both orientations of an edge, read from a
+    // sequence (known size) and from an iterator (unknown size).
+    val rnd = new scala.util.Random(17)
+    for (trial <- 0 until 40) {
+      val n = 1 + rnd.nextInt(40)
+      val base = Seq.fill(rnd.nextInt(4 * n + 1))((rnd.nextInt(n), rnd.nextInt(n)))
+      val edges = rnd.shuffle(base ++ base.take(n).map(_.swap) ++ base.takeRight(n) ++
+                              Seq.fill(rnd.nextInt(3))(rnd.nextInt(n)).map(v => (v, v)))
+      val sets = Array.fill(n)(scala.collection.mutable.SortedSet.empty[Int])
+      for ((a, b) <- edges if a != b) { sets(a) += b; sets(b) += a }
+      val expected = sets.map(_.toSeq).toSeq
+      assert(AdjGraph.fromEdges(n, edges).adj.map(_.toSeq).toSeq == expected, s"trial $trial")
+      assert(AdjGraph.fromEdges(n, edges.iterator).adj.map(_.toSeq).toSeq == expected, s"trial $trial")
+    }
+  }
+
   test("fromEdges rejects out-of-range vertices") {
     intercept[IllegalArgumentException] { AdjGraph.fromEdges(3, Seq((0, 3))) }
   }

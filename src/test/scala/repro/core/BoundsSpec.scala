@@ -49,8 +49,8 @@ class BoundsSpec extends AnyFunSuite {
 
   test("LB1 at h=4,5 equals the 2-degree") {
     for ((name, g) <- graphs; h <- Seq(4, 5)) {
-      val l1 = Bounds.lb1(g, h, new SequentialEngine(g.n))
-      assert(l1.toSeq == HBfs.allHDegrees(g, 2).toSeq, s"$name h=$h")
+      val eng = new SequentialEngine(g.n)
+      assert(Bounds.lb1(g, h, eng).toSeq == Bounds.hDegUB(g, 2, eng).toSeq, s"$name h=$h")
     }
   }
 
@@ -101,6 +101,18 @@ class BoundsSpec extends AnyFunSuite {
       assert(iv.last._1 == 2)
       for (Seq((kminHi, _), (_, kmaxLo)) <- iv.sliding(2).toSeq.collect { case Seq(a, b) => Seq(a, b) })
         assert(kmaxLo == kminHi - 1, s"s=$s iv=$iv")
+    }
+  }
+
+  test("descendingDistinct equals the boxed distinct-and-sort of UB and min LB2 − 1") {
+    val rnd = new scala.util.Random(3)
+    for (trial <- 0 until 200) {
+      val n = 1 + rnd.nextInt(60)
+      val range = 1 + rnd.nextInt(40)
+      val ub = Array.fill(n)(rnd.nextInt(range))
+      val lb2 = Array.fill(n)(rnd.nextInt(range))
+      val boxed = (ub.distinct :+ (lb2.min - 1)).distinct.sortBy(-_)
+      assert(HLBUB.descendingDistinct(ub, lb2.min - 1).toSeq == boxed.toSeq, s"trial $trial")
     }
   }
 

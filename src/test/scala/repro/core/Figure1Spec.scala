@@ -55,7 +55,7 @@ class Figure1Spec extends AnyFunSuite {
   }
 
   test("§4.2 example: deg^2(v1) = 4, so h-LB moves v1 from B[2] to B[4]") {
-    assert(HBfs.allHDegrees(g, 2)(v(1)) == 4)
+    assert(Bounds.hDegUB(g, 2, new SequentialEngine(g.n))(v(1)) == 4)
   }
 
   test("Example 5: Algorithm 5 upper bounds: UB(v1)=4, UB(vi)=6 for i>=2") {
@@ -68,7 +68,7 @@ class Figure1Spec extends AnyFunSuite {
   test("Example 5: cleaning V6 removes v2 and v3 (2-degree 5 < kmin 6 in G[V6])") {
     val v6 = (2 to 13).map(v).toArray
     val (sub, ids) = g.inducedOn(v6)
-    val degs = HBfs.allHDegrees(sub, 2)
+    val degs = Bounds.hDegUB(sub, 2, new SequentialEngine(sub.n))
     assert(degs(ids.indexOf(v(2))) == 5)
     assert(degs(ids.indexOf(v(3))) == 5)
     assert((4 to 13).forall(i => degs(ids.indexOf(v(i))) >= 6))

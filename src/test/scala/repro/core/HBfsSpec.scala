@@ -91,15 +91,20 @@ class HBfsSpec extends AnyFunSuite {
     }
   }
 
-  test("allHDegrees helper matches per-vertex runs") {
-    val g = GraphGen.petersen
-    val all = HBfs.allHDegrees(g, 2)
-    assert(all.toSeq == Seq.fill(10)(9)) // Petersen has diameter 2
+  test("Bounds.hDegUB matches per-vertex runs") {
+    assert(Bounds.hDegUB(GraphGen.petersen, 2, new SequentialEngine(10)).toSeq == Seq.fill(10)(9)) // diameter 2
+    val g = GraphGen.randomConnected(60, 3.0, 4)
+    val alive = Array.fill(g.n)(true)
+    val bfs = new HBfs(g.n)
+    for (h <- 1 to 3)
+      assert(Bounds.hDegUB(g, h, new SequentialEngine(g.n)).toSeq ==
+             (0 until g.n).map(bfs.run(g, alive, _, h, Budget.unlimited())), s"h=$h")
   }
 
-  test("hNeighborhood helper returns the right vertex set") {
+  test("run lists the h-neighbours of a path vertex") {
     val g = GraphGen.path(6)
-    val nb = HBfs.hNeighborhood(g, Array.fill(6)(true), 2, 2)
-    assert(nb.toSet == Set(0, 1, 3, 4))
+    val bfs = new HBfs(6)
+    val cnt = bfs.run(g, Array.fill(6)(true), 2, 2, Budget.unlimited())
+    assert(bfs.nbrs.take(cnt).toSet == Set(0, 1, 3, 4))
   }
 }

@@ -42,7 +42,7 @@ class KHCorePropertiesSpec extends AnyFunSuite {
         val verts = res.coreVertices(k)
         if (verts.nonEmpty) {
           val (sub, _) = g.inducedOn(verts.toSeq)
-          assert(HBfs.allHDegrees(sub, h).forall(_ >= k), s"$name h=$h k=$k")
+          assert(Bounds.hDegUB(sub, h, new SequentialEngine(sub.n)).forall(_ >= k), s"$name h=$h k=$k")
         }
       }
     }
@@ -59,7 +59,7 @@ class KHCorePropertiesSpec extends AnyFunSuite {
       for (v <- 0 until g.n if !inCore(v)) {
         val cand = (inCore + v).toSeq
         val (sub, ids) = g.inducedOn(cand)
-        val degs = HBfs.allHDegrees(sub, h)
+        val degs = Bounds.hDegUB(sub, h, new SequentialEngine(sub.n))
         val vIdx = ids.indexOf(v)
         assert(degs(vIdx) < k || degs.exists(_ < k), s"$name vertex $v could extend the core")
       }

@@ -238,7 +238,8 @@ class MultiHBfsSpec extends AnyFunSuite {
           assert(viaEngine(new SequentialEngine(g.n), g, alive, batch, h) == perVertex(g, alive, batch, h),
                  s"n=${g.n} round=$round h=$h")
           val lb1 = perVertex(g, alive, Array.range(0, g.n), 1)._1.toArray
-          val expected = batch.map(v => (v +: HBfs.hNeighborhood(g, alive, v, h)).map(lb1).max)
+          val bfs = new HBfs(g.n)
+          val expected = batch.map(v => (v +: bfs.nbrs.take(bfs.run(g, alive, v, h, Budget.unlimited()))).map(lb1).max)
           val got = new SequentialEngine(g.n).batchNbrMax(g, alive, batch, h, lb1, Budget.unlimited())
           assert(got.toSeq == expected.toSeq, s"nbrMax n=${g.n} round=$round h=$h")
         }

@@ -72,7 +72,7 @@ class ScalaCheckSpec extends AnyFunSuite {
   test("property: h-degree equals power-graph degree") {
     forAllSampled(genGraphH) { case (g, h) =>
       val p = GraphGen.powerGraph(g, h)
-      assert(HBfs.allHDegrees(g, h).toSeq == (0 until p.n).map(p.degree), s"n=${g.n} h=$h")
+      assert(Bounds.hDegUB(g, h, new SequentialEngine(g.n)).toSeq == (0 until p.n).map(p.degree), s"n=${g.n} h=$h")
     }
   }
 

@@ -13,20 +13,20 @@ class SparkLayerSpec extends SparkSpec {
   test("Pregel h-degrees match local h-BFS on the Figure-1 graph") {
     val g = GraphGen.figure1
     for (h <- 1 to 4)
-      assert(PregelHDeg.hDegrees(spark, g, h).toSeq == HBfs.allHDegrees(g, h).toSeq, s"h=$h")
+      assert(PregelHDeg.hDegrees(spark, g, h).toSeq == Bounds.hDegUB(g, h, new SequentialEngine(g.n)).toSeq, s"h=$h")
   }
 
   test("Pregel h-degrees match local h-BFS on random graphs") {
     for (seed <- 1 to 3; h <- Seq(2, 3)) {
       val g = GraphGen.randomConnected(80, 3.0, 20 + seed)
-      assert(PregelHDeg.hDegrees(spark, g, h).toSeq == HBfs.allHDegrees(g, h).toSeq,
+      assert(PregelHDeg.hDegrees(spark, g, h).toSeq == Bounds.hDegUB(g, h, new SequentialEngine(g.n)).toSeq,
              s"seed=$seed h=$h")
     }
   }
 
   test("Pregel h-degrees on a disconnected graph") {
     val g = GraphGen.er(40, 25, 99)
-    assert(PregelHDeg.hDegrees(spark, g, 2).toSeq == HBfs.allHDegrees(g, 2).toSeq)
+    assert(PregelHDeg.hDegrees(spark, g, 2).toSeq == Bounds.hDegUB(g, 2, new SequentialEngine(g.n)).toSeq)
   }
 
   test("SparkEngine batch h-degrees equal sequential engine output") {
