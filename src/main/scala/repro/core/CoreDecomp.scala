@@ -2,8 +2,8 @@ package repro.core
 
 /** The one Batagelj–Zaveršnik bucket-peeling loop (Batagelj & Zaveršnik,
   * "An O(m) algorithm for cores decomposition of networks", 2003) behind
-  * h-BZ (Alg. 1), CoreDecomp (Alg. 3, for h-LB and each h-LB+UB interval)
-  * and UpperBound (Alg. 5).
+  * h-BZ (Alg. 1), CoreDecomp (Alg. 3, for h-LB and each h-LB+UB interval),
+  * UpperBound (Alg. 5) and ImproveLB's clean-up (Alg. 6).
   *
   * The loop drains the buckets in increasing order, in rounds. A round pops
   * a set P from bucket k: the whole bucket (level-synchronous, the
@@ -31,11 +31,14 @@ package repro.core
   *    [[EngineScratch]], and no engine call falls between a discovery and
   *    the reading of its output.
   *
-  * The three callers differ only in `remeasureBelow`:
+  * The four callers differ only in `remeasureBelow` and the levels peeled:
   *  - h + 1 (h-BZ): every h-neighbour is re-measured (Alg. 1 line 9);
   *  - h (CoreDecomp): neighbours at distance h drop (Alg. 3 lines 14–17);
   *  - 1 (UpperBound): every h-neighbour drops, the core decomposition of
-  *    the implicit power graph, an upper bound (see below).
+  *    the implicit power graph, an upper bound (see below);
+  *  - 1 at the one level kmin−1, with kmax = kmin−1 (ImproveLB's clean-up
+  *    in [[HLBUB.runInterval]]): every vertex whose upper bound falls
+  *    below kmin is removed, and none is assigned.
   * h-BZ always peels one vertex per round.
   *
   * Why a level-synchronous round is exact. Let A be the alive set when the
@@ -66,9 +69,9 @@ package repro.core
   *
   * Caller contract:
   *  - `st.alive` masks the subgraph to peel (it is mutated);
-  *  - every alive vertex is bucketed either at its h-degree (in `st.deg`)
-  *    with `setLB = false`, or at a *valid lower bound* of its core index,
-  *    clamped to ≥ max(0, kmin−1), with `setLB = true` (`deg` is ignored
+  *  - every alive vertex is bucketed, at ≥ max(0, kmin−1), either at its
+  *    h-degree (in `st.deg`) with `setLB = false`, or at a *valid lower
+  *    bound* of its core index with `setLB = true` (`deg` is ignored
   *    while the flag is set); or it is left out of the buckets with
   *    `setLB = true`, so it is never popped and discovery skips it (h-LB+UB
   *    leaves the vertices assigned by a higher interval so);
@@ -82,10 +85,9 @@ object CoreDecomp {
     * h-degrees, core indices (−1 = unassigned), lower-bound flags and the
     * assigned vertices in assignment order (`order(0 until assigned)`).
     *
-    * `queue` and `queued` are a vertex list and its membership marks, empty
+    * `list` and `listed` are a vertex list and its membership marks, empty
     * between rounds: a round's P followed by the vertices it flags for
-    * re-measure (the two are disjoint). HLBUB's ImproveLB reuses them as
-    * its cascade FIFO.
+    * re-measure (the two are disjoint).
     */
   class State(n: Int) {
     val alive = new Array[Boolean](n)
@@ -95,8 +97,8 @@ object CoreDecomp {
     val setLB = new Array[Boolean](n)
     val order = new Array[Int](n)
     var assigned = 0
-    val queue = new Array[Int](n)
-    val queued = new Array[Boolean](n)
+    val list = new Array[Int](n)
+    val listed = new Array[Boolean](n)
   }
 
   /** h-BZ (`remeasureBelow = h + 1`, `paperLiteral`) and UpperBound
@@ -122,8 +124,8 @@ object CoreDecomp {
     val buckets = st.buckets
     val deg = st.deg
     val setLB = st.setLB
-    val list = st.queue
-    val listed = st.queued
+    val list = st.list
+    val listed = st.listed
     val scratch = EngineScratch.get(g.n)
     val bfs = scratch.bfs
     val multi = scratch.multi
@@ -207,8 +209,8 @@ object CoreDecomp {
     * lower-bounded vertices.
     */
   private def reach(st: State, u: Int, d: Int, cnt: Int, k: Int, remeasureBelow: Int, nl: Int): Int =
-    if (st.setLB(u) || st.queued(u)) nl
-    else if (d < remeasureBelow) { st.queue(nl) = u; st.queued(u) = true; nl + 1 }
+    if (st.setLB(u) || st.listed(u)) nl
+    else if (d < remeasureBelow) { st.list(nl) = u; st.listed(u) = true; nl + 1 }
     else {
       st.deg(u) -= cnt
       st.buckets.move(u, math.max(st.deg(u), k))

@@ -11,13 +11,13 @@ package repro.core
   * keeps that argument, so by default the width doubles after an interval
   * that assigns no vertex (see [[decompose]]).
   *
-  * Before peeling an interval, [[improveLB]] (Alg. 6) prunes V[kmin] of
-  * vertices that provably cannot reach core kmin (power-graph-style
-  * cascading decrements) and tightens every survivor's lower bound to LB3
-  * via Property 3 (`min h-degree within any V' lower-bounds every core
-  * index in V'`). Unlike Alg. 6 as written, it measures only the *open*
-  * vertices of V[kmin], those no higher interval has assigned; see
-  * [[improveLB]] for why the result is unchanged.
+  * Before peeling an interval, ImproveLB (Alg. 6) prunes V[kmin] of
+  * vertices that provably cannot reach core kmin (UpperBound's rule on the
+  * one level kmin−1 of the shared CoreDecomp peel) and tightens every
+  * survivor's lower bound to LB3 via Property 3 (`min h-degree within any
+  * V' lower-bounds every core index in V'`). Unlike Alg. 6 as written, it
+  * measures only the *open* vertices of V[kmin], those no higher interval
+  * has assigned; see [[runInterval]] for why the result is unchanged.
   */
 object HLBUB {
 
@@ -104,145 +104,114 @@ object HLBUB {
     * the monotone LB3; a fresh one knows nothing of other intervals.
     * `alive` and `buckets` hold the interval's G[V[kmin]] and are empty
     * between intervals; `order` lists the assignments interval by
-    * interval, top-down; `queue` and `queued` serve as Alg. 6's cascade
-    * FIFO before they serve CoreDecomp's rounds.
+    * interval, top-down.
     */
   final class State(n: Int) extends CoreDecomp.State(n) {
     val lb3 = new Array[Int](n)
   }
 
-  /** Algorithm 6 over the open (unassigned) vertices `open` of V[kmin].
-    * Mutates `alive` (removing pruned vertices), `st.lb3` (monotone max
-    * with the Property-3 bound) and `st.deg`, and leaves `setLB` raised on
-    * exactly the open vertices whose `deg` the cascade decremented: the
-    * `deg` of any other survivor is its h-degree in the final alive set (a
-    * removed vertex within distance h of it would have reached it, so its
-    * h-ball is untouched).
+  /** Alg. 4 lines 12–18 for one interval [kmin,kmax]: build V[kmin], clean
+    * and tighten it with ImproveLB (Alg. 6), bucket the survivors at
+    * max(LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` for every
+    * vertex whose core index lies in the interval, and `st.lb3` (monotone
+    * max with the Property-3 bound) for every open vertex.
     *
-    * Alg. 6 as written measures every vertex of V[kmin]. Skipping the
-    * vertices a higher interval has assigned leaves the pruned set, LB3 and
-    * so every later CoreDecomp step bit-identical:
+    * ImproveLB measures the open vertices of V[kmin] in one batch, takes
+    * LB3 from their minimum (Property 3: the min h-degree within any V'
+    * lower-bounds every core index in V'), and then cleans V[kmin]: it
+    * removes every vertex whose h-degree is below kmin and drops each of
+    * its h-neighbours by 1, to a fixed point. That is UpperBound's rule
+    * (Alg. 5) on the one level kmin−1, so it is the shared peel,
+    * `CoreDecomp.run` with `remeasureBelow = 1` and kmax = kmin−1: it
+    * removes in bucket order, in rounds unless `paperLiteral`, and assigns
+    * nothing. By CoreDecomp's upper-bound argument every vertex it removes
+    * has core < kmin.
+    *
+    * Alg. 6 as written measures every vertex of V[kmin]. Measuring only the
+    * open ones, those no higher interval has assigned, leaves the cleaned
+    * set, LB3 and so every later CoreDecomp step unchanged:
     *  - every open vertex has core ≤ kmax, because the higher intervals
     *    assigned every larger core;
     *  - an assigned vertex u has h-degree ≥ core(u) > kmax in G[V[kmin]],
-    *    since its (core(u),h)-core lies in V[core(u)] ⊆ V[kmin]. In the
-    *    cascade, `deg(u)` would be an upper bound of u's h-degree, which
-    *    stays ≥ core(u) as only vertices of core < kmin are removed, so u
-    *    would never be queued; the cascade skips it;
+    *    since its (core(u),h)-core lies in V[core(u)] ⊆ V[kmin]. Alg. 6
+    *    as written would keep an upper bound of that h-degree, which stays
+    *    ≥ core(u) as only vertices of core < kmin are removed, so u would
+    *    never be removed. Here it stays alive and unbucketed with `setLB`
+    *    raised, so discovery skips it;
     *  - if an open vertex exists, Property 3's minimum over V[kmin] is ≤ its
     *    core ≤ kmax < every assigned h-degree, so an open vertex attains it
     *    and LB3 is the same;
-    *  - assigned vertices stay out of the buckets with `setLB` raised, so
-    *    CoreDecomp never reads their `deg`.
+    *  - CoreDecomp never reads an assigned vertex's `deg`.
     * Only the assigned vertices' h-BFS disappear. A fresh [[State]] (the
-    * Spark path) has nothing assigned and runs Alg. 6 exactly as written.
-    */
-  private def improveLB(g: AdjGraph, h: Int, kmin: Int,
-                        alive: Array[Boolean], open: Array[Int],
-                        lb2: Array[Int], st: State,
-                        engine: HDegEngine, budget: Budget): Unit = {
-    if (open.isEmpty) return
-    val degs = engine.batchHDeg(g, alive, open, h, budget)
-    val deg = st.deg
-    val lb3 = st.lb3
-    val core = st.core
-    var minDeg = Int.MaxValue
-    var i = 0
-    while (i < open.length) {
-      deg(open(i)) = degs(i)
-      st.setLB(open(i)) = false
-      if (degs(i) < minDeg) minDeg = degs(i)
-      i += 1
-    }
-    // LB3 via Property 3: min h-degree within V[k] bounds every core in it.
-    i = 0
-    while (i < open.length) {
-      val v = open(i)
-      val cand = math.max(lb2(v), minDeg)
-      if (cand > lb3(v)) lb3(v) = cand
-      i += 1
-    }
-    // Cascading clean-up: upper-bounded h-degrees (decrement-by-1) below
-    // kmin can never reach core kmin inside this interval. FIFO over
-    // `st.queue`; each vertex is queued at most once per interval.
-    val bfs = EngineScratch.get(g.n).bfs
-    val queue = st.queue
-    val queued = st.queued
-    var head = 0; var tail = 0
-    i = 0
-    while (i < open.length) {
-      val v = open(i)
-      if (deg(v) < kmin) { queue(tail) = v; tail += 1; queued(v) = true }
-      i += 1
-    }
-    while (head < tail) {
-      val v = queue(head); head += 1
-      if (alive(v)) {
-        alive(v) = false
-        val cnt = bfs.run(g, alive, v, h, budget)
-        var j = 0
-        while (j < cnt) {
-          val u = bfs.nbrs(j)
-          if (core(u) < 0) {
-            deg(u) -= 1
-            st.setLB(u) = true
-            if (deg(u) < kmin && !queued(u)) { queue(tail) = u; tail += 1; queued(u) = true }
-          }
-          j += 1
-        }
-      }
-    }
-    i = 0
-    while (i < tail) { queued(queue(i)) = false; i += 1 }
-  }
-
-  /** Alg. 4 lines 12–18 for one interval [kmin,kmax]: build V[kmin], clean
-    * and tighten it with ImproveLB, bucket the survivors at
-    * max(LB3, kmin−1), and peel with CoreDecomp. Sets `st.core` for every
-    * vertex whose core index lies in the interval.
+    * Spark path) has nothing assigned and measures every vertex of V[kmin],
+    * as Alg. 6 is written.
     *
-    * In rounds, a survivor whose `deg` ImproveLB left exact and whose LB3
-    * is at most kmin−1 goes straight into bucket `deg` with `setLB` down:
-    * CoreDecomp's first round pops all of bucket kmin−1 and measures it on
-    * the alive set ImproveLB leaves, so it would measure the same value
-    * again. Every later round is unchanged; only those h-BFS disappear.
-    * One vertex per round (`paperLiteral`) may peel between two of those
-    * measures, so there every survivor waits at its lower bound.
+    * In rounds, a survivor the clean-up never decremented and whose LB3 is
+    * at most kmin−1 goes into bucket `deg` with `setLB` down. Its `deg` is
+    * its exact h-degree on the cleaned set: were a removed vertex within
+    * distance h of it, the first removed vertex on a shortest path from it
+    * would reach it in that vertex's own round, as the rest of the path
+    * stays alive, and decrement it. CoreDecomp's first round pops all of
+    * bucket kmin−1 and measures it on that same alive set, so it would
+    * measure the same value again; every later round is unchanged and only
+    * those h-BFS disappear. One vertex per round (`paperLiteral`) may peel
+    * between two of those measures, so there every survivor waits at its
+    * lower bound. Survivors are re-bucketed in id order, with a remove and
+    * an add, so the order within a bucket does not depend on the clean-up.
     */
   def runInterval(g: AdjGraph, h: Int, kmin: Int, kmax: Int, plan: Plan, st: State,
                   engine: HDegEngine, budget: Budget, paperLiteral: Boolean): Unit = {
     val n = g.n
     val alive = st.alive
     val buckets = st.buckets
+    val deg = st.deg
+    val lb3 = st.lb3
     // Line 12: V[kmin] = {v : UB(v) >= kmin}; `open` holds its unassigned
     // vertices, in two passes: an exact-size array, no boxing and no
-    // growth copies.
+    // growth copies. Assigned ones stay alive and unbucketed, with `setLB`
+    // raised.
     var size = 0
     var v = 0
     while (v < n) {
-      if (plan.ub(v) >= kmin) { alive(v) = true; if (st.core(v) < 0) size += 1 }
+      if (plan.ub(v) >= kmin) {
+        alive(v) = true
+        if (st.core(v) < 0) size += 1 else st.setLB(v) = true
+      }
       v += 1
     }
     val open = new Array[Int](size)
     size = 0
     v = 0
     while (v < n) { if (alive(v) && st.core(v) < 0) { open(size) = v; size += 1 }; v += 1 }
-    // Lines 13–14: clean + tighten (Alg. 6).
-    improveLB(g, h, kmin, alive, open, plan.lb2, st, engine, budget)
-    // Lines 15–17: bucket the open survivors at their best-known floor,
-    // or at their h-degree where ImproveLB measured it. Assigned ones stay
-    // alive and unbucketed, with `setLB` raised.
+    // Lines 13–14 (Alg. 6): measure, tighten LB3, then clean level kmin−1.
     val floor = math.max(0, kmin - 1)
-    v = 0
-    while (v < n) {
-      if (alive(v)) {
-        if (st.core(v) >= 0) st.setLB(v) = true
-        else if (paperLiteral || st.setLB(v) || st.lb3(v) > floor) {
-          buckets.add(v, math.max(st.lb3(v), floor))
-          st.setLB(v) = true
-        } else buckets.add(v, st.deg(v))
+    val degs = if (open.isEmpty) open else engine.batchHDeg(g, alive, open, h, budget)
+    var minDeg = Int.MaxValue
+    var i = 0
+    while (i < open.length) { if (degs(i) < minDeg) minDeg = degs(i); i += 1 }
+    i = 0
+    while (i < open.length) {
+      val u = open(i)
+      lb3(u) = math.max(lb3(u), math.max(plan.lb2(u), minDeg))
+      deg(u) = degs(i)
+      st.setLB(u) = false
+      buckets.add(u, math.max(degs(i), floor))
+      i += 1
+    }
+    CoreDecomp.run(g, h, kmin, kmin - 1, remeasureBelow = 1, paperLiteral, st, engine, budget)
+    // Lines 15–17: re-bucket the survivors at their best-known floor, or
+    // at their h-degree where it is still exact.
+    i = 0
+    while (i < open.length) {
+      val u = open(i)
+      if (alive(u)) {
+        buckets.remove(u)
+        if (paperLiteral || deg(u) != degs(i) || lb3(u) > floor) {
+          buckets.add(u, math.max(lb3(u), floor))
+          st.setLB(u) = true
+        } else buckets.add(u, deg(u))
       }
-      v += 1
+      i += 1
     }
     // Line 18.
     CoreDecomp.run(g, h, kmin, kmax, remeasureBelow = h, paperLiteral, st, engine, budget)

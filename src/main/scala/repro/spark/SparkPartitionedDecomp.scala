@@ -10,8 +10,9 @@ import repro.core._
   *
   * The driver computes the plan with UpperBound as Alg. 5 is written. Each
   * task runs the interval routine of [[HLBUB]] (build V[kmin], clean it
-  * with ImproveLB, peel it with CoreDecomp as Alg. 3 is written) on a fresh
-  * state, and emits the vertices whose core index lies inside its interval,
+  * with ImproveLB, peel it with CoreDecomp as Alg. 3 is written; the
+  * clean-up is the same CoreDecomp peel, one vertex per round, on the one
+  * level kmin−1) on a fresh state, and emits the vertices whose core index lies inside its interval,
   * in assignment order, with their cores; the driver merges them, and
   * concatenates the orders from the lowest interval to the highest. The
   * paper's noted trade-off applies: tasks lose the knowledge of
