@@ -1,6 +1,6 @@
 package repro.apps
 
-import repro.core.{AdjGraph, Algo, Budget, KHCore, SequentialEngine}
+import repro.core.{AdjGraph, Budget, KHCore, SequentialEngine}
 
 /** Distance-generalized cocktail party (Appendix B, Problem 2): given query
   * vertices Q, find a connected S ⊇ Q maximizing the minimum h-degree of
@@ -12,10 +12,9 @@ object CocktailParty {
   /** Returns (k, community vertices), or None if Q is not connected even in
     * the (0,h)-core (i.e., Q spans several components of G).
     */
-  def solve(g: AdjGraph, h: Int, query: Seq[Int],
-            algo: Algo = Algo.HLBUB(None)): Option[(Int, Array[Int])] = {
+  def solve(g: AdjGraph, h: Int, query: Seq[Int]): Option[(Int, Array[Int])] = {
     require(query.nonEmpty && query.forall(q => q >= 0 && q < g.n))
-    val decomp = KHCore.decompose(g, h, algo)
+    val decomp = KHCore.decompose(g, h)
     val kTop = query.map(decomp.core).min // Q must survive in the core
     var k = kTop
     while (k >= 0) {

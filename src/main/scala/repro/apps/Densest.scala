@@ -1,6 +1,6 @@
 package repro.apps
 
-import repro.core.{AdjGraph, Algo, Budget, KHCore, SequentialEngine}
+import repro.core.{AdjGraph, Budget, KHCore, SequentialEngine}
 
 /** Distance-h densest subgraph (Problem 1, §5.3): maximize the average
   * h-degree over induced subgraphs. Theorem 4: among all (k,h)-cores, the
@@ -24,8 +24,8 @@ object Densest {
   /** Core-based approximation: evaluate f_h on every distinct (k,h)-core and
     * return the densest one.
     */
-  def coreApproximation(g: AdjGraph, h: Int, algo: Algo = Algo.HLBUB(None)): Approx = {
-    val decomp = KHCore.decompose(g, h, algo)
+  def coreApproximation(g: AdjGraph, h: Int): Approx = {
+    val decomp = KHCore.decompose(g, h)
     val ks = decomp.core.distinct.filter(_ >= 1).sorted
     var best = Approx(Array.range(0, g.n), 0, avgHDegree(g, Array.range(0, g.n), h))
     for (k <- ks) {

@@ -192,7 +192,7 @@ object TableRunners {
     val solvers = Seq("DBC*" -> BnBClubSolver, "ITDBC*" -> (IterativeClubSolver: ClubSolver))
     // JIT warm-up on a small instance so borderline rows don't flip to NT
     // because the hot solver paths compile mid-measurement.
-    solvers.foreach(_._2.solve(Datasets("coli"), 2, 0, new ClubBudget()))
+    solvers.foreach(_._2.solve(Datasets("coli"), 2, 0, Budget.unlimited()))
     val rows = for {
       name <- Datasets.table6Names
       h <- 2 to 4
@@ -200,27 +200,17 @@ object TableRunners {
       val g = Datasets(name)
       var size: Option[Int] = None
       val entries = scala.collection.mutable.Map.empty[String, Option[Long]]
-      for ((sName, solver) <- solvers) {
-        // plain solver on the whole graph (the paper's DBC / ITDBC columns)
+      // the plain solver on the whole graph (the paper's DBC / ITDBC
+      // columns), then the Algorithm 7 wrapper around the same solver
+      for ((sName, solver) <- solvers;
+           (col, run) <- Seq[(String, Budget => Array[Int])](
+             sName -> (b => solver.solve(g, h, 0, b)),
+             s"Alg7+$sName" -> (b => CoreClubWrapper.solve(g, h, solver, b)))) {
         val t0 = System.nanoTime()
-        val plain =
-          try {
-            val club = solver.solve(g, h, 0,
-              new ClubBudget(deadlineNanos = System.nanoTime() + budgetMs * 1000000L))
-            size = size.orElse(Some(club.length)).map(math.max(_, club.length))
-            Some((System.nanoTime() - t0) / 1000000L)
-          } catch { case _: ClubTimeout => None }
-        entries(sName) = plain
-        // Algorithm 7 wrapper around the same solver
-        val t1 = System.nanoTime()
-        val wrapped =
-          try {
-            val res = CoreClubWrapper.solve(g, h, solver,
-              new ClubBudget(deadlineNanos = System.nanoTime() + budgetMs * 1000000L))
-            size = size.orElse(Some(res.club.length)).map(math.max(_, res.club.length))
-            Some((System.nanoTime() - t1) / 1000000L)
-          } catch { case _: ClubTimeout | _: BudgetExceeded => None }
-        entries(s"Alg7+$sName") = wrapped
+        entries(col) = budgeted(budgetMs)(run).toOption.map { club =>
+          size = size.orElse(Some(club.length)).map(math.max(_, club.length))
+          (System.nanoTime() - t0) / 1000000L
+        }
       }
       T6Row(name, h, size, entries.toMap)
     }

@@ -2,29 +2,15 @@ package repro.club
 
 import repro.core.{AdjGraph, Bounds, Budget, HBfs, SequentialEngine}
 
-/** Budget/outcome types for the NP-hard maximum h-club solvers. */
-final class ClubBudget(val maxNodes: Long = Long.MaxValue,
-                       val deadlineNanos: Long = Long.MaxValue) {
-  var nodes: Long = 0
-  def tick(): Unit = {
-    nodes += 1
-    if (nodes > maxNodes) throw new ClubTimeout
-    checkTime()
-  }
-  /** Deadline-only check, cheap enough for per-BFS granularity. */
-  def checkTime(): Unit =
-    if (deadlineNanos != Long.MaxValue && System.nanoTime() > deadlineNanos)
-      throw new ClubTimeout
-}
-final class ClubTimeout extends RuntimeException("club solver budget exceeded")
-
 /** A maximum h-club solver: the "black-box algorithm A(G,h)" of Alg. 7. */
 trait ClubSolver {
   /** Maximum h-club of g (vertex ids of g), given a known feasible lower
     * bound `incumbentSize` (only clubs strictly larger are searched for;
-    * if none exists the returned set may be empty).
+    * if none exists the returned set may be empty). Every h-BFS is charged
+    * to `budget`; past its visit limit or deadline the solver raises
+    * [[repro.core.BudgetExceeded]].
     */
-  def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: ClubBudget): Array[Int]
+  def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: Budget): Array[Int]
   def name: String
 }
 
@@ -40,17 +26,16 @@ object BnBClubSolver extends ClubSolver {
 
   /** A search node not yet expanded: `size` members, built by `members`
     * when the node is popped. A component node is skipped, without a
-    * tick, if it no longer beats the incumbent by then.
+    * budget check, if it no longer beats the incumbent by then.
     */
   private final class Node(val size: Int, val component: Boolean, val members: () => Array[Boolean])
 
-  override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: ClubBudget): Array[Int] = {
+  override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: Budget): Array[Int] = {
     var best: Array[Int] = Array.empty
     var bestSize = incumbentSize
-    val drop = HClub.dropHeuristic(g, h, onStep = budget.checkTime)
+    val drop = HClub.dropHeuristic(g, h, budget)
     if (drop.length > bestSize) { best = drop; bestSize = drop.length }
     val bfs = new HBfs(g.n)
-    val bfsBudget = Budget.unlimited()
 
     // Cascading bound prune: a member of a club of size > bestSize must
     // reach ≥ bestSize others within induced distance h of the *current*
@@ -66,8 +51,7 @@ object BnBClubSolver extends ClubSolver {
         var v = 0
         while (v < g.n) {
           if (inSet(v)) {
-            budget.checkTime()
-            if (bfs.run(g, inSet, v, h, bfsBudget) < bestSize) {
+            if (bfs.run(g, inSet, v, h, budget) < bestSize) {
               inSet(v) = false; size -= 1; changed = true
             }
           }
@@ -84,7 +68,7 @@ object BnBClubSolver extends ClubSolver {
     while (!stack.isEmpty) {
       val node = stack.pop()
       if (!node.component || node.size > bestSize) {
-        budget.tick()
+        budget.check()
         val inSet = node.members()
         val size = prune(inSet, node.size)
         if (size >= 0) {
@@ -100,7 +84,7 @@ object BnBClubSolver extends ClubSolver {
             sizes.indices.sortBy(c => (sizes(c), c)).foreach { c =>
               stack.push(new Node(sizes(c), component = true, () => comp.map(_ == c)))
             }
-          else HClub.violatingPair(g, inSet, h, bfs) match {
+          else HClub.violatingPair(g, inSet, h, bfs, budget) match {
             case None =>
               best = (0 until g.n).filter(inSet).toArray
               bestSize = size
@@ -125,20 +109,18 @@ object BnBClubSolver extends ClubSolver {
 object IterativeClubSolver extends ClubSolver {
   override val name = "ITDBC*"
 
-  override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: ClubBudget): Array[Int] = {
+  override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: Budget): Array[Int] = {
     var best: Array[Int] = Array.empty
     var bestSize = incumbentSize
     val alive = Array.fill(g.n)(true)
     // process high-h-degree vertices first: they anchor the largest clubs,
     // raising the incumbent early
-    val hdegs = Bounds.hDegUB(g, h, new SequentialEngine(g.n))
+    val hdegs = Bounds.hDegUB(g, h, new SequentialEngine(g.n), budget)
     val order = (0 until g.n).sortBy(v => -hdegs(v))
     val bfs = new HBfs(g.n)
-    val bfsBudget = Budget.unlimited()
     for (v <- order if alive(v)) {
-      budget.tick()
       if (hdegs(v) + 1 > bestSize) {
-        val ball = bfs.nbrs.take(bfs.run(g, alive, v, h, bfsBudget)) :+ v
+        val ball = bfs.nbrs.take(bfs.run(g, alive, v, h, budget)) :+ v
         if (ball.length > bestSize) {
           val (sub, ids) = g.inducedOn(ball.toSeq)
           val found = BnBClubSolver.solve(sub, h, bestSize, budget)

@@ -1,6 +1,6 @@
 package repro.club
 
-import repro.core.{AdjGraph, Algo, Budget, KHCore}
+import repro.core.{AdjGraph, Budget, KHCore}
 
 /** Algorithm 7: use the (k,h)-core decomposition as a wrapper around any
   * black-box maximum h-club solver (Theorem 3: every h-club of size k+1 is
@@ -8,25 +8,17 @@ import repro.core.{AdjGraph, Algo, Budget, KHCore}
   * instance — and descend only while the club found is not certified
   * maximum by its size exceeding the current core index.
   *
-  * The decomposition runs under the club budget's deadline: past it, it
-  * raises [[repro.core.BudgetExceeded]] before the solver runs.
+  * The decomposition and every solver call are charged to one `budget`:
+  * past it, [[repro.core.BudgetExceeded]] is raised wherever the run is.
   */
 object CoreClubWrapper {
 
-  final case class Result(club: Array[Int], coreIndexUsed: Int,
-                          decompositionMillis: Long, solverMillis: Long)
-
+  /** The maximum h-club of g (vertex ids of g). */
   def solve(g: AdjGraph, h: Int, solver: ClubSolver,
-            budget: ClubBudget = new ClubBudget(),
-            algo: Algo = Algo.HLBUB(None)): Result = {
-    val t0 = System.nanoTime()
-    val decomp = KHCore.decompose(g, h, algo, budget = new Budget(deadlineNanos = budget.deadlineNanos))
-    val tDecomp = (System.nanoTime() - t0) / 1000000L
+            budget: Budget = Budget.unlimited()): Array[Int] = {
+    val decomp = KHCore.decompose(g, h, budget = budget)
     val core = decomp.core
-    val kStar = decomp.maxCore
-
-    val t1 = System.nanoTime()
-    var kCur = kStar
+    var kCur = decomp.maxCore
     var best: Array[Int] = Array.empty
     var done = false
     while (!done && kCur >= 0) {
@@ -44,6 +36,6 @@ object CoreClubWrapper {
         else kCur -= 1
       }
     }
-    Result(best, kCur, tDecomp, (System.nanoTime() - t1) / 1000000L)
+    best
   }
 }

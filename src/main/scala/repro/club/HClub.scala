@@ -26,13 +26,14 @@ object HClub {
     * reachable peers so branching splits on the most-constrained vertex.
     */
   def violatingPair(g: AdjGraph, inSet: Array[Boolean], h: Int): Option[(Int, Int)] =
-    violatingPair(g, inSet, h, new HBfs(g.n))
+    violatingPair(g, inSet, h, new HBfs(g.n), Budget.unlimited())
 
-  /** [[violatingPair]] on the caller's scratch `bfs`. */
-  def violatingPair(g: AdjGraph, inSet: Array[Boolean], h: Int, bfs: HBfs): Option[(Int, Int)] = {
+  /** [[violatingPair]] on the caller's scratch `bfs`, its h-BFS charged to
+    * `budget`. */
+  def violatingPair(g: AdjGraph, inSet: Array[Boolean], h: Int, bfs: HBfs,
+                    budget: Budget): Option[(Int, Int)] = {
     val members = (0 until g.n).filter(inSet)
     if (members.size <= 1) return None
-    val budget = Budget.unlimited()
     var worst = -1
     var worstCnt = Int.MaxValue
     members.foreach { s =>
@@ -56,17 +57,16 @@ object HClub {
     *
     * Incremental: removing w only changes the reach of members inside w's
     * induced h-ball (induced distance is symmetric), so only those are
-    * recomputed — O(ball²·BFS) per deletion instead of O(n·BFS).
+    * recomputed — O(ball²·BFS) per deletion instead of O(n·BFS). Every
+    * h-BFS is charged to `budget`.
     */
-  def dropHeuristic(g: AdjGraph, h: Int, onStep: () => Unit = () => ()): Array[Int] = {
+  def dropHeuristic(g: AdjGraph, h: Int, budget: Budget = Budget.unlimited()): Array[Int] = {
     val inSet = Array.fill(g.n)(true)
     var size = g.n
     val bfs = new HBfs(g.n)
-    val budget = Budget.unlimited()
     val reach = Array.tabulate(g.n)(v => bfs.run(g, inSet, v, h, budget))
     var continue = true
     while (size > 1 && continue) {
-      onStep()
       var worst = -1; var worstCnt = Int.MaxValue
       var v = 0
       while (v < g.n) {

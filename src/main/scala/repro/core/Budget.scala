@@ -2,9 +2,10 @@ package repro.core
 
 import java.util.concurrent.atomic.LongAdder
 
-/** Thrown when a decomposition exceeds its visit or wall-clock budget —
-  * the bench harness reports such runs as "NT" (did not terminate), the
-  * same convention the paper uses for its 20/24-hour timeouts.
+/** Thrown when a decomposition or a club solver exceeds its visit or
+  * wall-clock budget — the bench harness reports such runs as "NT" (did
+  * not terminate), the same convention the paper uses for its 20/24-hour
+  * timeouts.
   */
 final class BudgetExceeded(msg: String) extends RuntimeException(msg)
 
@@ -27,12 +28,8 @@ final class Budget(val maxVisits: Long = Long.MaxValue,
   private val visitsAdder = new LongAdder
   private val bfsAdder = new LongAdder
 
-  def addVisits(k: Long): Unit = {
-    visitsAdder.add(k)
-    bfsAdder.increment()
-  }
-
-  /** Merge accounting from a detached (e.g., per-Spark-task) budget. */
+  /** Charge `visits` over `bfs` traversals: the kernels charge their own
+    * work, and a Spark driver merges a detached per-task budget. */
   def merge(visits: Long, bfs: Long): Unit = {
     visitsAdder.add(visits)
     bfsAdder.add(bfs)

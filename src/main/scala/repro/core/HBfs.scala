@@ -59,7 +59,7 @@ final class HBfs(n: Int) {
         }
       }
     }
-    budget.addVisits(visits)
+    budget.merge(visits, 1)
     budget.check()
     nbrCount
   }

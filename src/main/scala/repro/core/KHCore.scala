@@ -45,7 +45,4 @@ object KHCore {
       if (engine.isEmpty) eng.shutdown()
     }
   }
-
-  /** h-degeneracy: the largest k with a non-empty (k,h)-core. */
-  def degeneracy(core: Array[Int]): Int = if (core.isEmpty) 0 else core.max
 }

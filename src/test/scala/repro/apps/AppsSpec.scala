@@ -1,8 +1,8 @@
 package repro.apps
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Algo, KHCore, NaiveCore}
-import repro.club.{BnBClubSolver, ClubBudget}
+import repro.core.{Algo, Budget, KHCore, NaiveCore}
+import repro.club.BnBClubSolver
 import repro.graphgen.GraphGen
 
 /** Applications of §5 / Appendix B: chromatic number (Thm 1–2), densest
@@ -66,7 +66,7 @@ class AppsSpec extends AnyFunSuite {
     for (seed <- 1 to 5) {
       val g = GraphGen.randomConnected(11, 2.5, 40 + seed)
       val h = 2
-      val club = BnBClubSolver.solve(g, h, 0, new ClubBudget()).length
+      val club = BnBClubSolver.solve(g, h, 0, Budget.unlimited()).length
       val chi = Chromatic.chromaticExact(g, h)
       val degeneracy = NaiveCore.decompose(g, h).max
       assert(club <= chi, s"seed=$seed")

@@ -1,7 +1,7 @@
 package repro.club
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AdjGraph, BudgetExceeded, NaiveCore}
+import repro.core.{AdjGraph, Bounds, Budget, BudgetExceeded, NaiveCore, SequentialEngine}
 import repro.graphgen.GraphGen
 
 /** Max h-club machinery: club checking, exact solvers (against brute force),
@@ -67,7 +67,7 @@ class ClubSpec extends AnyFunSuite {
     test(s"BnB solver is exact vs brute force (seed $seed, h=$h)") {
       val g = GraphGen.randomConnected(12, 2.2, 50 + seed)
       val expected = bruteForceMaxClub(g, h)
-      val got = BnBClubSolver.solve(g, h, 0, new ClubBudget())
+      val got = BnBClubSolver.solve(g, h, 0, Budget.unlimited())
       assert(got.length == expected)
       val inSet = Array.fill(g.n)(false); got.foreach(inSet(_) = true)
       assert(HClub.isHClub(g, inSet, h))
@@ -77,15 +77,15 @@ class ClubSpec extends AnyFunSuite {
     test(s"Iterative solver is exact vs brute force (seed $seed, h=$h)") {
       val g = GraphGen.randomConnected(12, 2.2, 70 + seed)
       val expected = bruteForceMaxClub(g, h)
-      val got = IterativeClubSolver.solve(g, h, 0, new ClubBudget())
+      val got = IterativeClubSolver.solve(g, h, 0, Budget.unlimited())
       assert(got.length == expected)
     }
 
   for (seed <- 1 to 5; h <- 2 to 3)
     test(s"solvers agree on a mid-size graph (seed $seed, h=$h)") {
       val g = GraphGen.randomConnected(40, 2.5, 90 + seed)
-      val a = BnBClubSolver.solve(g, h, 0, new ClubBudget())
-      val b = IterativeClubSolver.solve(g, h, 0, new ClubBudget())
+      val a = BnBClubSolver.solve(g, h, 0, Budget.unlimited())
+      val b = IterativeClubSolver.solve(g, h, 0, Budget.unlimited())
       assert(a.length == b.length)
     }
 
@@ -110,40 +110,69 @@ class ClubSpec extends AnyFunSuite {
       val g = if (name == "figure1") GraphGen.figure1
               else GraphGen.randomConnected(40, 2.5, name.stripPrefix("rc40-").toLong)
       assert(HClub.dropHeuristic(g, h).mkString(",") == drop)
-      assert(BnBClubSolver.solve(g, h, 0, new ClubBudget()).mkString(",") == dbc)
-      assert(IterativeClubSolver.solve(g, h, 0, new ClubBudget()).mkString(",") == itdbc)
+      assert(BnBClubSolver.solve(g, h, 0, Budget.unlimited()).mkString(",") == dbc)
+      assert(IterativeClubSolver.solve(g, h, 0, Budget.unlimited()).mkString(",") == itdbc)
     }
 
   test("pinned DBC* members on the amzn analog (h=2)") {
-    val club = BnBClubSolver.solve(repro.bench.Datasets("amzn"), 2, 0, new ClubBudget())
+    val club = BnBClubSolver.solve(repro.bench.Datasets("amzn"), 2, 0, Budget.unlimited())
     assert(club.mkString(",") == "294,413,1456,1609,1610,1611,1612,1613,2469,2779")
   }
 
-  test("solver budget raises ClubTimeout") {
+  test("solver budget raises BudgetExceeded") {
     val g = GraphGen.communities(3, 15, 0.3, 0.05, 3)
-    intercept[ClubTimeout] {
-      BnBClubSolver.solve(g, 2, 0, new ClubBudget(maxNodes = 5))
+    intercept[BudgetExceeded] {
+      BnBClubSolver.solve(g, 2, 0, new Budget(maxVisits = 20000))
     }
+  }
+
+  test("a visit budget stops DBC* and ITDBC* at the same point on every run") {
+    val g = GraphGen.communities(3, 15, 0.3, 0.05, 3)
+    for (solver <- Seq[ClubSolver](BnBClubSolver, IterativeClubSolver)) {
+      val stops = (1 to 2).map { _ =>
+        val budget = new Budget(maxVisits = 1000000)
+        intercept[BudgetExceeded](solver.solve(g, 2, 0, budget))
+        (budget.visits, budget.bfsCount)
+      }
+      assert(stops(0)._1 > 1000000, solver.name)
+      assert(stops(0) == stops(1), solver.name)
+    }
+  }
+
+  test("ITDBC* charges its all-vertex h-degree batch to the budget") {
+    // A budget the batch alone exceeds stops ITDBC* where it stops the
+    // batch, part-way through it and before any search node.
+    val g = GraphGen.randomConnected(200, 3.0, 1)
+    val batch = Budget.unlimited()
+    Bounds.hDegUB(g, 2, new SequentialEngine(g.n), batch)
+    val limit = batch.visits / 2
+    val alone = new Budget(maxVisits = limit)
+    intercept[BudgetExceeded](Bounds.hDegUB(g, 2, new SequentialEngine(g.n), alone))
+    val budget = new Budget(maxVisits = limit)
+    intercept[BudgetExceeded](IterativeClubSolver.solve(g, 2, 0, budget))
+    assert((budget.visits, budget.bfsCount) == ((alone.visits, alone.bfsCount)))
+    assert(budget.bfsCount < g.n)
   }
 
   test("DBC* searches road graphs deeper than a small thread stack") {
     // Branching removes one vertex per level, so the search on a road
-    // graph is about as deep as the graph is large.
-    val budget = new ClubBudget(maxNodes = 2000)
+    // graph is about as deep as the graph is large. The budget covers the
+    // 85 169 878 visits DBC* spends on its first 2 000 search nodes here.
+    val budget = new Budget(maxVisits = 86000000L)
     var outcome: Throwable = null
     val t = new Thread(null, () => {
       try BnBClubSolver.solve(repro.bench.Datasets("rnTX"), 2, 0, budget)
       catch { case e: Throwable => outcome = e }
     }, "dbc-small-stack", 128L << 10)
     t.start(); t.join()
-    assert(outcome.isInstanceOf[ClubTimeout], s"got $outcome")
+    assert(outcome.isInstanceOf[BudgetExceeded], s"got $outcome")
   }
 
   for (seed <- 1 to 6; h <- 2 to 3)
     test(s"Theorem 3: every h-club of size k+1 is inside the (k,h)-core (seed $seed, h=$h)") {
       val g = GraphGen.randomConnected(30, 3.0, 110 + seed)
       val core = NaiveCore.decompose(g, h)
-      val club = BnBClubSolver.solve(g, h, 0, new ClubBudget())
+      val club = BnBClubSolver.solve(g, h, 0, Budget.unlimited())
       val k = club.length - 1
       assert(club.forall(core(_) >= k))
     }
@@ -152,10 +181,10 @@ class ClubSpec extends AnyFunSuite {
        solver <- Seq[ClubSolver](BnBClubSolver, IterativeClubSolver))
     test(s"Algorithm 7 wrapper matches the plain solver (seed $seed, h=$h, ${solver.name})") {
       val g = GraphGen.randomConnected(35, 3.0, 130 + seed)
-      val plain = BnBClubSolver.solve(g, h, 0, new ClubBudget())
+      val plain = BnBClubSolver.solve(g, h, 0, Budget.unlimited())
       val wrapped = CoreClubWrapper.solve(g, h, solver)
-      assert(wrapped.club.length == plain.length)
-      val inSet = Array.fill(g.n)(false); wrapped.club.foreach(inSet(_) = true)
+      assert(wrapped.length == plain.length)
+      val inSet = Array.fill(g.n)(false); wrapped.foreach(inSet(_) = true)
       assert(HClub.isHClub(g, inSet, h))
     }
 
@@ -163,24 +192,24 @@ class ClubSpec extends AnyFunSuite {
     val g = GraphGen.randomConnected(35, 3.0, 131)
     var solverRan = false
     val solver = new ClubSolver {
-      override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: ClubBudget): Array[Int] = {
+      override def solve(g: AdjGraph, h: Int, incumbentSize: Int, budget: Budget): Array[Int] = {
         solverRan = true
         BnBClubSolver.solve(g, h, incumbentSize, budget)
       }
       override def name: String = "recording"
     }
     intercept[BudgetExceeded] {
-      CoreClubWrapper.solve(g, 2, solver, new ClubBudget(deadlineNanos = System.nanoTime() - 1))
+      CoreClubWrapper.solve(g, 2, solver, new Budget(deadlineNanos = System.nanoTime() - 1))
     }
     assert(!solverRan)
   }
 
   test("Algorithm 7 on the Figure-1 graph (h=2)") {
     val g = GraphGen.figure1
-    val res = CoreClubWrapper.solve(g, 2, BnBClubSolver)
-    val plain = BnBClubSolver.solve(g, 2, 0, new ClubBudget())
-    assert(res.club.length == plain.length)
+    val club = CoreClubWrapper.solve(g, 2, BnBClubSolver)
+    val plain = BnBClubSolver.solve(g, 2, 0, Budget.unlimited())
+    assert(club.length == plain.length)
     // Theorem 2 chain: club size <= 1 + degeneracy = 7
-    assert(res.club.length <= 7)
+    assert(club.length <= 7)
   }
 }
