@@ -1,7 +1,6 @@
 package repro.apps
 
 import repro.core.{AdjGraph, Algo, KHCore}
-import repro.graphgen.GraphGen
 
 /** Distance-h coloring (§5.1, Definition 3): a partition of V where any two
   * same-colored vertices are more than h hops apart in G — equivalently a
@@ -39,15 +38,15 @@ object Chromatic {
     * only for the tiny graphs used to validate Theorem 1.
     */
   def chromaticExact(g: AdjGraph, h: Int): Int = {
-    val p = GraphGen.powerGraph(g, h)
-    if (p.n == 0) return 0
-    val order = (0 until p.n).sortBy(v => -p.degree(v))
+    if (g.n == 0) return 0
+    val ball = Array.tabulate(g.n)(g.hBalls(h)) // the rows of G^h
+    val order = (0 until g.n).sortBy(v => -ball(v).length)
     def colorable(k: Int): Boolean = {
-      val color = Array.fill(p.n)(-1)
+      val color = Array.fill(g.n)(-1)
       def rec(i: Int): Boolean = {
-        if (i == p.n) return true
+        if (i == g.n) return true
         val v = order(i)
-        val used = p.adj(v).collect { case u if color(u) >= 0 => color(u) }.toSet
+        val used = ball(v).collect { case u if color(u) >= 0 => color(u) }.toSet
         // cap first-vertex choices at 1 (color symmetry)
         val cap = if (i == 0) 1 else k
         (0 until cap).exists { c =>

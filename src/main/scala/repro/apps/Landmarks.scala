@@ -28,32 +28,34 @@ object Landmarks {
     val dist = new Array[Int](n)
     val sigma = new Array[Double](n)
     val delta = new Array[Double](n)
-    val stack = new Array[Int](n)
     val queue = new Array[Int](n)
-    val preds = Array.fill(n)(new scala.collection.mutable.ArrayBuffer[Int])
     var s = 0
     while (s < n) {
       java.util.Arrays.fill(dist, -1)
       java.util.Arrays.fill(sigma, 0.0)
       java.util.Arrays.fill(delta, 0.0)
-      preds.foreach(_.clear())
-      var sp = 0; var head = 0; var tail = 0
+      var head = 0; var tail = 0
       dist(s) = 0; sigma(s) = 1.0; queue(tail) = s; tail += 1
       while (head < tail) {
         val u = queue(head); head += 1
-        stack(sp) = u; sp += 1
-        val a = g.adj(u); var i = 0
-        while (i < a.length) {
-          val w = a(i)
+        var i = 0
+        while (i < g.degree(u)) {
+          val w = g.neighbor(u, i)
           if (dist(w) < 0) { dist(w) = dist(u) + 1; queue(tail) = w; tail += 1 }
-          if (dist(w) == dist(u) + 1) { sigma(w) += sigma(u); preds(w) += u }
+          if (dist(w) == dist(u) + 1) sigma(w) += sigma(u)
           i += 1
         }
       }
-      while (sp > 0) {
-        sp -= 1
-        val w = stack(sp)
-        preds(w).foreach { u => delta(u) += sigma(u) / sigma(w) * (1.0 + delta(w)) }
+      // Farthest first; w's predecessors are its neighbours one step closer to s.
+      while (tail > 0) {
+        tail -= 1
+        val w = queue(tail)
+        var i = 0
+        while (i < g.degree(w)) {
+          val u = g.neighbor(w, i)
+          if (dist(u) == dist(w) - 1) delta(u) += sigma(u) / sigma(w) * (1.0 + delta(w))
+          i += 1
+        }
         if (w != s) bc(w) += delta(w)
       }
       s += 1

@@ -4,9 +4,10 @@ import scala.collection.mutable
 
 /** Compact undirected, unweighted graph over vertices `0 until n`.
   *
-  * Adjacency is stored as one sorted `Array[Int]` per vertex (a CSR-style
-  * layout that keeps the hot h-BFS loops allocation-free). Self-loops and
-  * parallel edges are dropped at construction.
+  * Adjacency is stored as one sorted `Array[Int]` row per vertex; only the
+  * h-BFS kernels of `HBfs.scala` read the rows directly, and every traversal
+  * here runs on [[HBfs]]. Self-loops and parallel edges are dropped at
+  * construction.
   *
   * @param n   number of vertices
   * @param adj per-vertex sorted neighbor arrays
@@ -30,21 +31,29 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
     b.result()
   }
 
+  /** The `i`-th neighbour of `v` in ascending id order, `i < degree(v)`. */
+  def neighbor(v: Int, i: Int): Int = adj(v)(i)
+
+  // Every vertex alive: the mask of the whole-graph traversals.
+  @transient private lazy val all = Array.fill(n)(true)
+
+  /** The calling thread's [[HBfs]] after an unbounded BFS from `src` over
+    * `alive`: `nbrs(0 until nbrCount)` are the vertices reached, in order of
+    * distance, and `nbrDist` their distances, until the thread's next run.
+    */
+  private def bfs(alive: Array[Boolean], src: Int): HBfs = {
+    val b = EngineScratch.get(n).bfs
+    b.run(this, alive, src, Int.MaxValue, AdjGraph.unmetered)
+    b
+  }
+
   /** BFS distances from `src` over the whole graph; -1 = unreachable. */
   def bfsDistances(src: Int): Array[Int] = {
     val dist = Array.fill(n)(-1)
-    val q = new Array[Int](n)
-    var head = 0; var tail = 0
-    dist(src) = 0; q(tail) = src; tail += 1
-    while (head < tail) {
-      val u = q(head); head += 1
-      val a = adj(u); var i = 0
-      while (i < a.length) {
-        val w = a(i)
-        if (dist(w) < 0) { dist(w) = dist(u) + 1; q(tail) = w; tail += 1 }
-        i += 1
-      }
-    }
+    dist(src) = 0
+    val b = bfs(all, src)
+    var i = 0
+    while (i < b.nbrCount) { dist(b.nbrs(i)) = b.nbrDist(i); i += 1 }
     dist
   }
 
@@ -53,34 +62,24 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
     * one [[HBfs]], so each thread needs its own.
     */
   def hBalls(h: Int): Int => Array[Int] = {
-    val bfs = new HBfs(n)
-    val all = Array.fill(n)(true)
-    val budget = Budget.unlimited()
-    v => bfs.nbrs.take(bfs.run(this, all, v, h, budget))
+    val b = new HBfs(n)
+    v => b.nbrs.take(b.run(this, all, v, h, AdjGraph.unmetered))
   }
 
   /** Connected components of the subgraph induced by `mask`: vertex ->
     * component id (0-based, by discovery from the lowest id), -1 outside
     * the mask.
     */
-  def components(mask: Array[Boolean] = Array.fill(n)(true)): Array[Int] = {
+  def components(mask: Array[Boolean] = all): Array[Int] = {
     val comp = Array.fill(n)(-1)
-    val q = new Array[Int](n)
     var c = 0
     var s = 0
     while (s < n) {
       if (mask(s) && comp(s) < 0) {
-        var head = 0; var tail = 0
-        comp(s) = c; q(tail) = s; tail += 1
-        while (head < tail) {
-          val u = q(head); head += 1
-          val a = adj(u); var i = 0
-          while (i < a.length) {
-            val w = a(i)
-            if (mask(w) && comp(w) < 0) { comp(w) = c; q(tail) = w; tail += 1 }
-            i += 1
-          }
-        }
+        comp(s) = c
+        val b = bfs(mask, s)
+        var i = 0
+        while (i < b.nbrCount) { comp(b.nbrs(i)) = c; i += 1 }
         c += 1
       }
       s += 1
@@ -88,35 +87,30 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
     comp
   }
 
-  /** Exact diameter of the (assumed connected) graph via all-source BFS.
-    * Returns the max eccentricity over vertices reachable from 0; for a
-    * disconnected graph this is the diameter of vertex 0's component.
+  /** Exact diameter via all-source BFS: the largest eccentricity over all
+    * vertices, so for a disconnected graph the largest component diameter.
     */
-  def diameterExact(): Int = {
-    var d = 0
-    var v = 0
-    while (v < n) {
-      val dist = bfsDistances(v)
-      var i = 0
-      while (i < n) { if (dist(i) > d) d = dist(i); i += 1 }
-      v += 1
+  def diameterExact(): Int =
+    (0 until n).foldLeft(0) { (d, v) =>
+      val b = bfs(all, v)
+      if (b.nbrCount == 0) d else math.max(d, b.nbrDist(b.nbrCount - 1))
     }
-    d
-  }
 
-  /** Double-sweep lower bound on the diameter (cheap, for large graphs). */
+  /** Double-sweep lower bound on the diameter (cheap, for large graphs):
+    * each sweep starts from the lowest-id farthest vertex of the last.
+    */
   def diameterLowerBound(sweeps: Int = 4): Int = {
     var best = 0
     var src = 0
-    var s = 0
-    while (s < sweeps) {
-      val dist = bfsDistances(src)
-      var far = src; var fd = 0
-      var i = 0
-      while (i < n) { if (dist(i) > fd) { fd = dist(i); far = i }; i += 1 }
-      if (fd > best) best = fd
-      src = far
-      s += 1
+    for (_ <- 0 until sweeps) {
+      val b = bfs(all, src)
+      val last = b.nbrCount - 1
+      if (last >= 0) {
+        // The farthest vertices end the visit order.
+        val fd = b.nbrDist(last)
+        best = math.max(best, fd)
+        src = (last to 0 by -1).takeWhile(b.nbrDist(_) == fd).map(b.nbrs).min
+      }
     }
     best
   }
@@ -201,6 +195,9 @@ object AdjGraph {
     }
     new AdjGraph(n, adj)
   }
+
+  // The helpers' BFS are not Table 3 work: their visits are never read.
+  private val unmetered = Budget.unlimited()
 
   /** Empty graph on n vertices. */
   def empty(n: Int): AdjGraph = new AdjGraph(n, Array.fill(n)(Array.empty[Int]))

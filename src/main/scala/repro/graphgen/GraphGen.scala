@@ -124,7 +124,7 @@ object GraphGen {
   }
 
   /** h-power graph G^h: same vertices, an edge for every pair at distance
-    * ≤ h in g (Example 2's strawman; used in tests and for exact χ_h).
+    * ≤ h in g (Example 2's strawman; only tests use it).
     */
   def powerGraph(g: AdjGraph, h: Int): AdjGraph = {
     val ball = g.hBalls(h)

@@ -119,6 +119,38 @@ class AppsSpec extends AnyFunSuite {
     assert((1 until 6).forall(bs(_) == 0.0))
   }
 
+  test("betweenness equals a brute force from all-pairs shortest-path counts on random graphs") {
+    val rnd = new scala.util.Random(41)
+    for (trial <- 0 until 30) {
+      val n = 1 + rnd.nextInt(20)
+      val g = GraphGen.er(n, math.min(rnd.nextInt(2 * n + 1), n * (n - 1) / 2), trial)
+      // d(s)(t) by Floyd–Warshall (-1 = unreachable), then sigma(s)(t), the
+      // number of shortest s-t paths, by increasing d(s)(t).
+      val inf = Int.MaxValue / 2
+      val fw = Array.tabulate(n, n)((a, b) => if (a == b) 0 else if (g.adj(a).contains(b)) 1 else inf)
+      for (k <- 0 until n; a <- 0 until n; b <- 0 until n)
+        fw(a)(b) = math.min(fw(a)(b), fw(a)(k) + fw(k)(b))
+      val d = fw.map(_.map(x => if (x == inf) -1 else x))
+      val sigma = Array.ofDim[Double](n, n)
+      for (s <- 0 until n) {
+        sigma(s)(s) = 1.0
+        for (t <- (0 until n).filter(d(s)(_) > 0).sortBy(d(s)(_)); u <- 0 until n
+             if g.adj(t).contains(u) && d(s)(u) == d(s)(t) - 1)
+          sigma(s)(t) += sigma(s)(u)
+      }
+      // Over ordered pairs (s, t), v lies on sigma(s)(v)·sigma(v)(t) of the
+      // sigma(s)(t) shortest paths when d(s,v) + d(v,t) = d(s,t).
+      val expected = Array.tabulate(n) { v =>
+        (for (s <- 0 until n; t <- 0 until n
+              if s != v && t != v && s != t && d(s)(t) > 0 && d(s)(v) > 0 && d(v)(t) > 0 &&
+                 d(s)(v) + d(v)(t) == d(s)(t))
+          yield sigma(s)(v) * sigma(v)(t) / sigma(s)(t)).sum
+      }
+      val bc = Landmarks.betweenness(g)
+      for (v <- 0 until n) assert(math.abs(bc(v) - expected(v)) <= 1e-9, s"trial $trial, v=$v")
+    }
+  }
+
   test("landmark bounds are valid: LB <= d <= UB implies error < 1 for adjacent pairs") {
     val g = GraphGen.communities(3, 15, 0.3, 0.03, 7)
     val pairs = Landmarks.samplePairs(g, 100, 1)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bench.Datasets
 import repro.graphgen.GraphGen
 
 class AdjGraphSpec extends AnyFunSuite {
@@ -49,6 +50,52 @@ class AdjGraphSpec extends AnyFunSuite {
     val g = AdjGraph.fromEdges(4, Seq((0, 1)))
     val d = g.bfsDistances(0)
     assert(d(2) == -1 && d(3) == -1)
+  }
+
+  /** All-pairs distances by Floyd–Warshall; -1 = unreachable. */
+  private def floydWarshall(g: AdjGraph): Array[Array[Int]] = {
+    val inf = Int.MaxValue / 2
+    val d = Array.tabulate(g.n, g.n)((a, b) => if (a == b) 0 else inf)
+    for (v <- 0 until g.n; u <- g.adj(v)) d(v)(u) = 1
+    for (k <- 0 until g.n; a <- 0 until g.n; b <- 0 until g.n)
+      if (d(a)(k) + d(k)(b) < d(a)(b)) d(a)(b) = d(a)(k) + d(k)(b)
+    d.map(_.map(x => if (x == inf) -1 else x))
+  }
+
+  test("bfsDistances equals a Floyd–Warshall row on random graphs, disconnected included") {
+    val rnd = new scala.util.Random(29)
+    for (trial <- 0 until 40) {
+      val n = 1 + rnd.nextInt(30)
+      val g = GraphGen.er(n, math.min(rnd.nextInt(2 * n + 1), n * (n - 1) / 2), trial)
+      val fw = floydWarshall(g)
+      for (v <- 0 until n) assert(g.bfsDistances(v).toSeq == fw(v).toSeq, s"trial $trial, v=$v")
+    }
+  }
+
+  test("diameterExact of a disconnected graph is its largest component diameter") {
+    // Vertex 0 on a path of 3 (diameter 2), then a path of 6 (5), then an
+    // isolated vertex.
+    val g = AdjGraph.fromEdges(10, Seq((0, 1), (1, 2)) ++ (3 until 8).map(i => (i, i + 1)))
+    assert(g.diameterExact() == 5)
+    for (seed <- 1 to 10) {
+      val r = GraphGen.er(30, 25, seed)
+      val comp = r.components()
+      val largest = comp.distinct.map(c => r.induced(comp.map(_ == c))._1.diameterExact()).max
+      assert(r.diameterExact() == largest, s"seed=$seed")
+      assert(r.diameterExact() == floydWarshall(r).flatten.max, s"seed=$seed")
+    }
+  }
+
+  test("diameterLowerBound of the lj analog is 5, Table 1's lj bound") {
+    assert(Datasets("lj").diameterLowerBound() == 5)
+  }
+
+  test("diameterLowerBound restarts from the lowest-id farthest vertex") {
+    // From 0, vertices 2 and 3 are farthest (2), and 3 is reached last;
+    // ecc(2) = 3 (to 4) but ecc(3) = 2.
+    val g = AdjGraph.fromEdges(5, Seq((0, 1), (1, 2), (1, 3), (0, 4), (4, 3)))
+    assert(g.diameterLowerBound(sweeps = 2) == 3)
+    assert(g.diameterExact() == 3)
   }
 
   test("components on a disconnected graph") {
