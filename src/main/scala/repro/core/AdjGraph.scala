@@ -98,8 +98,10 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
 
   /** Double-sweep lower bound on the diameter (cheap, for large graphs):
     * each sweep starts from the lowest-id farthest vertex of the last.
+    * 0 on the empty graph.
     */
   def diameterLowerBound(sweeps: Int = 4): Int = {
+    if (n == 0) return 0
     var best = 0
     var src = 0
     for (_ <- 0 until sweeps) {

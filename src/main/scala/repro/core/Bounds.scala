@@ -25,7 +25,8 @@ object Bounds {
     engine.batchHDeg(g, alive, Array.range(0, g.n), r, budget)
   }
 
-  /** LB2 of every vertex given precomputed LB1 values. */
+  /** LB2 of every vertex given precomputed LB1 values: the engine's max
+    * pass over closed neighbourhoods, which runs no h-BFS. */
   def lb2(g: AdjGraph, h: Int, lb1s: Array[Int], engine: HDegEngine,
           budget: Budget = Budget.unlimited()): Array[Int] = {
     val r = (h + 1) / 2

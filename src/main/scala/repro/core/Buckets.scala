@@ -25,7 +25,9 @@ final class Buckets(n: Int, maxBucket: Int) {
 
   /** Insert `v` into bucket `b` (must not already be in a bucket). */
   def add(v: Int, b: Int): Unit = {
-    require(bucketOf(v) < 0, s"vertex $v already bucketed")
+    // Not `require`: its by-name message is a closure per call, which the
+    // JIT does not always scalar-replace, and the peel adds every vertex.
+    if (bucketOf(v) >= 0) throw new IllegalArgumentException(s"vertex $v already bucketed")
     val h = head(b)
     next(v) = h
     prev(v) = -1

@@ -16,18 +16,61 @@ trait HDegEngine {
                 h: Int, budget: Budget): Array[Int]
 
   /** For each vertex v in `vertices`: max of `value` over v's r-neighborhood
-    * including v itself — the kernel of the LB2 bound (Obs. 2). */
+    * including v itself — the kernel of the LB2 bound (Obs. 2).
+    *
+    * The r-ball of v is v plus the (r−1)-balls of its alive neighbours, so
+    * r − 1 rounds of "max over the closed neighbourhood" on every alive
+    * vertex, then one at each listed vertex, give it with no h-BFS (the
+    * max-value flooding of Pregel, Malewicz et al., SIGMOD 2010): each
+    * round reads every alive neighbour once. As in [[HBfs.run]], v counts
+    * whether or not it is alive, and no path passes another dead vertex.
+    * The rounds' two buffers are the calling thread's [[EngineScratch]].
+    * Charges no visits and no BFS to `budget`, and checks it once per round.
+    */
   def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                  r: Int, value: Array[Int], budget: Budget): Array[Int]
+                  r: Int, value: Array[Int], budget: Budget): Array[Int] = {
+    // max of self(u) and of `in` over u's alive neighbours
+    def closedMax(u: Int, self: Array[Int], in: Array[Int]): Int = {
+      var best = self(u)
+      val a = g.adj(u)
+      var i = 0
+      while (i < a.length) { if (alive(a(i)) && in(a(i)) > best) best = in(a(i)); i += 1 }
+      best
+    }
+    val s = if (r > 1) EngineScratch.get(g.n) else null
+    var cur = value
+    var t = 1
+    while (t < r) {
+      val next = if (cur eq s.roundA) s.roundB else s.roundA
+      var u = 0
+      while (u < g.n) { if (alive(u)) next(u) = closedMax(u, cur, cur); u += 1 }
+      budget.check()
+      cur = next
+      t += 1
+    }
+    val out = new Array[Int](vertices.length)
+    var i = 0
+    while (i < out.length) {
+      out(i) = if (r == 0) value(vertices(i)) else closedMax(vertices(i), value, cur)
+      i += 1
+    }
+    budget.check()
+    out
+  }
 
   /** Release any pooled resources (thread pools). */
   def shutdown(): Unit = ()
 }
 
-/** One thread's h-BFS scratch: one per-vertex and one 64-lane h-BFS. */
+/** One thread's h-BFS scratch: one per-vertex and one 64-lane h-BFS, and
+  * the two round buffers of [[HDegEngine.batchNbrMax]], allocated at its
+  * first use on the thread.
+  */
 private[repro] final class EngineScratch(val n: Int) {
   val bfs = new HBfs(n)
   val multi = new MultiHBfs(n)
+  lazy val roundA = new Array[Int](n)
+  lazy val roundB = new Array[Int](n)
 }
 
 private[repro] object EngineScratch {
@@ -74,84 +117,40 @@ private[repro] object EngineKernels {
       i += 1
     }
   }
-
-  /** Sequential kernel shared by the engines: max of `value` over the
-    * r-neighborhood of each vertex (including the vertex). */
-  def nbrMaxRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                  r: Int, value: Array[Int], budget: Budget,
-                  s: EngineScratch, out: Array[Int], from: Int, until: Int): Unit = {
-    val bfs = s.bfs
-    var i = from
-    while (i < until) {
-      val v = vertices(i)
-      var best = value(v)
-      if (r >= 1) {
-        val cnt = bfs.run(g, alive, v, r, budget)
-        var j = 0
-        while (j < cnt) {
-          val x = value(bfs.nbrs(j))
-          if (x > best) best = x
-          j += 1
-        }
-      }
-      out(i) = best
-      i += 1
-    }
-  }
 }
 
-/** The local engine: every batch is independent h-BFS (§4.6) run through
-  * [[EngineKernels]] on the running thread's scratch, so building one
-  * allocates nothing. A batch of at most 64 vertices, or any batch when
-  * `threads` is 1, runs on the caller. A longer one is split into
-  * `threads * 4` chunks, rounded up to multiples of 64 vertices so that
-  * every chunk but the last fills whole 64-lane blocks, and run on a
+/** The local engine: every h-degree batch is independent h-BFS (§4.6) run
+  * through [[EngineKernels.hDegRange]] on the running thread's scratch, so
+  * building one allocates nothing. A batch of at most 64 vertices, or any
+  * batch when `threads` is 1, runs on the caller. A longer one is split
+  * into `threads * 4` chunks, rounded up to multiples of 64 vertices so
+  * that every chunk but the last fills whole 64-lane blocks, and run on a
   * fixed pool; a single-chunk batch still runs on the caller. A worker's
-  * failure, e.g. [[BudgetExceeded]], is rethrown as itself.
+  * failure, e.g. [[BudgetExceeded]], is rethrown as itself. LB2 batches
+  * are the trait's max pass, on the caller.
   */
 class LocalEngine private[repro] (threads: Int) extends HDegEngine {
   require(threads >= 1, s"threads = $threads")
   private val pool = if (threads > 1) Executors.newFixedThreadPool(threads) else null
 
-  /** Chunk length of a `len`-vertex batch; `len` or more ⇒ run on the caller. */
-  private def chunk(len: Int): Int =
-    if (pool == null) len
-    else math.max(1, (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes) * MultiHBfs.Lanes
-
-  /** Runs `body(scratch, from, until)` over the chunks of [0, len) on the pool. */
-  private def parallelFor(len: Int, n: Int, chunk: Int)(body: (EngineScratch, Int, Int) => Unit): Unit = {
-    val tasks = (0 until len by chunk).map { start =>
-      val end = math.min(len, start + chunk)
-      new Callable[Unit] {
-        override def call(): Unit = body(EngineScratch.get(n), start, end)
-      }
-    }
-    pool.invokeAll(tasks.asJava).asScala.foreach { f =>
-      try f.get()
-      catch { case e: ExecutionException => throw e.getCause }
-    }
-  }
-
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
     val len = vertices.length
     val out = new Array[Int](len)
-    val c = chunk(len)
-    if (c >= len) EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, len)
-    else parallelFor(len, g.n, c) { (s, from, until) =>
-      EngineKernels.hDegRange(g, alive, vertices, h, budget, s, out, from, until)
-    }
-    out
-  }
-
-  override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                           r: Int, value: Array[Int], budget: Budget): Array[Int] = {
-    val len = vertices.length
-    val out = new Array[Int](len)
-    val c = chunk(len)
-    if (c >= len) EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, EngineScratch.get(g.n), out, 0, len)
-    else parallelFor(len, g.n, c) { (s, from, until) =>
-      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, s, out, from, until)
+    // Chunk length; `len` or more ⇒ run on the caller.
+    val chunk =
+      if (pool == null) len
+      else math.max(1, (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes) * MultiHBfs.Lanes
+    if (chunk >= len) EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, len)
+    else {
+      val tasks = (0 until len by chunk).map { from =>
+        (() => EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out,
+                                       from, math.min(len, from + chunk))): Callable[Unit]
+      }
+      pool.invokeAll(tasks.asJava).asScala.foreach { f =>
+        try f.get()
+        catch { case e: ExecutionException => throw e.getCause }
+      }
     }
     out
   }

@@ -12,7 +12,7 @@ import repro.core.{AdjGraph, Budget, BudgetExceeded, EngineKernels, EngineScratc
   * least `minDistributedBatch` vertices runs as Spark tasks: `vertices` is
   * cut into contiguous slices, each task runs the engines' kernel on its
   * slice with its thread's scratch, and the driver copies each slice's
-  * degrees back into place. LB2 batches and shorter batches stay local.
+  * degrees back into place. Shorter batches stay local.
   *
   * Each task runs under a budget with the caller's deadline and the visits
   * the caller has left, so it stops at most one block past either. A

@@ -19,6 +19,11 @@ import repro.spark.SparkPartitionedDecomp
   * interval has already assigned; their counters plus exactly that skipped
   * work must give the recorded values. Spark tasks know of no other
   * interval and skip nothing.
+  *
+  * Every row that runs LB2 was re-recorded when LB2 became a max pass over
+  * closed neighbourhoods, which runs no h-BFS: each fell by exactly the
+  * old LB2 cost, one ⌈h/2⌉-BFS per vertex (figure1 51 visits in 13 BFS,
+  * ba-120 3 334 in 120).
   */
 class WorkCountersSpec extends SparkSpec {
 
@@ -33,16 +38,16 @@ class WorkCountersSpec extends SparkSpec {
     * BFS counts hold), but removes in bucket order instead of FIFO order,
     * so each removal's h-BFS runs on a different alive set. */
   private val expected: Map[(String, String), (Long, Long)] = Map(
-    ("figure1", "h-LB+UB S=None") -> (720L, 120L),
-    ("figure1", "h-LB+UB S=1")    -> (720L, 120L),
-    ("figure1", "h-LB+UB hDegUB") -> (836L, 149L),
-    ("figure1", "Spark S=None")   -> (735L, 122L),
-    ("figure1", "Spark S=1")      -> (735L, 122L),
-    ("ba-120", "h-LB+UB S=None")  -> (152459L, 2501L),
-    ("ba-120", "h-LB+UB S=1")     -> (212211L, 3243L),
-    ("ba-120", "h-LB+UB hDegUB")  -> (148062L, 2848L),
-    ("ba-120", "Spark S=None")    -> (230815L, 3437L),
-    ("ba-120", "Spark S=1")       -> (352398L, 4949L))
+    ("figure1", "h-LB+UB S=None") -> (669L, 107L),
+    ("figure1", "h-LB+UB S=1")    -> (669L, 107L),
+    ("figure1", "h-LB+UB hDegUB") -> (785L, 136L),
+    ("figure1", "Spark S=None")   -> (684L, 109L),
+    ("figure1", "Spark S=1")      -> (684L, 109L),
+    ("ba-120", "h-LB+UB S=None")  -> (149125L, 2381L),
+    ("ba-120", "h-LB+UB S=1")     -> (208877L, 3123L),
+    ("ba-120", "h-LB+UB hDegUB")  -> (144728L, 2728L),
+    ("ba-120", "Spark S=None")    -> (227481L, 3317L),
+    ("ba-120", "Spark S=1")       -> (349064L, 4829L))
 
   /** (visits, bfsCount) of the ImproveLB h-BFS skipped by the sequential
     * path: per interval, one h-BFS in G[V[kmin]] from every vertex of
@@ -65,10 +70,10 @@ class WorkCountersSpec extends SparkSpec {
     * (Alg. 5), recorded while each still had its own loop. */
   private val expectedPeel: Map[(String, String), (Long, Long)] = Map(
     ("figure1", "h-BZ")       -> (409L, 67L),
-    ("figure1", "h-LB")       -> (343L, 69L),
+    ("figure1", "h-LB")       -> (292L, 56L),
     ("figure1", "UpperBound") -> (166L, 26L),
     ("ba-120", "h-BZ")        -> (271190L, 3891L),
-    ("ba-120", "h-LB")        -> (87394L, 1610L),
+    ("ba-120", "h-LB")        -> (84060L, 1490L),
     ("ba-120", "UpperBound")  -> (14305L, 240L))
 
   for ((name, h, g) <- graphs) {
@@ -134,15 +139,15 @@ class WorkCountersSpec extends SparkSpec {
     * run with the whole round still alive, where the old FIFO removed one
     * vertex before the next one's h-BFS. */
   private val expectedRounds: Map[(String, String), (Long, Long)] = Map(
-    ("figure1", "h-LB")           -> (319L, 59L),
-    ("figure1", "h-LB+UB S=None") -> (606L, 98L),
-    ("figure1", "h-LB+UB S=1")    -> (606L, 98L),
-    ("figure1", "h-LB+UB hDegUB") -> (561L, 93L),
+    ("figure1", "h-LB")           -> (268L, 46L),
+    ("figure1", "h-LB+UB S=None") -> (555L, 85L),
+    ("figure1", "h-LB+UB S=1")    -> (555L, 85L),
+    ("figure1", "h-LB+UB hDegUB") -> (510L, 80L),
     ("figure1", "UpperBound")     -> (182L, 26L),
-    ("ba-120", "h-LB")            -> (52355L, 904L),
-    ("ba-120", "h-LB+UB S=None")  -> (56956L, 1037L),
-    ("ba-120", "h-LB+UB S=1")     -> (53565L, 1011L),
-    ("ba-120", "h-LB+UB hDegUB")  -> (71887L, 1267L),
+    ("ba-120", "h-LB")            -> (49021L, 784L),
+    ("ba-120", "h-LB+UB S=None")  -> (53622L, 917L),
+    ("ba-120", "h-LB+UB S=1")     -> (50231L, 891L),
+    ("ba-120", "h-LB+UB hDegUB")  -> (68553L, 1147L),
     ("ba-120", "UpperBound")      -> (16286L, 240L))
 
   for ((name, h, g) <- graphs; (path, algo) <- Seq(
@@ -164,17 +169,17 @@ class WorkCountersSpec extends SparkSpec {
     }
 
   test("a visit budget raises BudgetExceeded in the middle of a round") {
-    // C30 at h=2: LB1 = LB2 = 2, every h-degree is 4. h-LB spends 90 BFS
-    // (330 visits) on LB1, LB2 and one batch measuring all 30 vertices,
-    // then peels all 30 in one round at k = 4, one 5-visit discovery BFS
-    // each, run as one 30-lane block that charges its 150 visits at once.
-    // A budget of 380 visits is exceeded by that block, before P is
-    // removed.
+    // C30 at h=2: LB1 = LB2 = 2, every h-degree is 4. h-LB spends 60 BFS
+    // (240 visits) on LB1 and one batch measuring all 30 vertices (LB2
+    // spends none), then peels all 30 in one round at k = 4, one 5-visit
+    // discovery BFS each, run as one 30-lane block that charges its 150
+    // visits at once. A budget of 380 visits is exceeded by that block,
+    // before P is removed.
     val g = GraphGen.cycle(30)
     val full = KHCore.decompose(g, 2, Algo.HLB)
-    assert(full.core.forall(_ == 4) && (full.visits, full.bfsCount) == (480L, 120L))
+    assert(full.core.forall(_ == 4) && (full.visits, full.bfsCount) == (390L, 90L))
     val b = new Budget(maxVisits = 380)
     intercept[BudgetExceeded](KHCore.decompose(g, 2, Algo.HLB, budget = b))
-    assert((b.visits, b.bfsCount) == (480L, 120L))
+    assert((b.visits, b.bfsCount) == (390L, 90L))
   }
 }

@@ -98,6 +98,12 @@ class AdjGraphSpec extends AnyFunSuite {
     assert(g.diameterExact() == 3)
   }
 
+  test("diameter bounds of the empty graph are 0") {
+    val g = AdjGraph.empty(0)
+    assert(g.diameterLowerBound() == 0)
+    assert(g.diameterExact() == 0)
+  }
+
   test("components on a disconnected graph") {
     val g = AdjGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
     val c = g.components()

@@ -55,7 +55,7 @@ class BoundsSpec extends AnyFunSuite {
   }
 
   test("LB2 is the max LB1 over the ceil(h/2)-ball (naive recomputation)") {
-    for ((name, g) <- graphs; h <- 2 to 4) {
+    for ((name, g) <- graphs; h <- 1 to 6) {
       val eng = new SequentialEngine(g.n)
       val (l1, l2) = Bounds.lowerBounds(g, h, eng)
       val r = (h + 1) / 2
@@ -65,6 +65,33 @@ class BoundsSpec extends AnyFunSuite {
         }
         assert(l2(v) == ball.map(l1).max, s"$name h=$h v=$v")
       }
+    }
+  }
+
+  test("LB2 charges no visits and no BFS, and honours a past deadline") {
+    for ((name, g) <- graphs; h <- 1 to 6) {
+      val eng = new SequentialEngine(g.n)
+      val l1 = Bounds.lb1(g, h, eng)
+      val b = Budget.unlimited()
+      Bounds.lb2(g, h, l1, eng, b)
+      assert((b.visits, b.bfsCount) == (0L, 0L), s"$name h=$h")
+      intercept[BudgetExceeded](Bounds.lb2(g, h, l1, eng, new Budget(deadlineNanos = System.nanoTime() - 1)))
+    }
+  }
+
+  test("LB2 allocates only its mask, its vertex list and its output on a warmed thread") {
+    val threadMx =
+      java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val g = GraphGen.gridRoad(100, 100, 0.9, 7)
+    val eng = new SequentialEngine(g.n)
+    for (h <- Seq(2, 4, 6)) {
+      val l1 = Bounds.lb1(g, h, eng)
+      Bounds.lb2(g, h, l1, eng)
+      Bounds.lb2(g, h, l1, eng)
+      val a0 = threadMx.getCurrentThreadAllocatedBytes
+      Bounds.lb2(g, h, l1, eng)
+      val bytes = threadMx.getCurrentThreadAllocatedBytes - a0
+      assert(bytes <= 9L * g.n + 4096, s"h=$h: $bytes bytes for n = ${g.n}")
     }
   }
 

@@ -208,6 +208,21 @@ class MultiHBfsSpec extends AnyFunSuite {
     } finally eng.shutdown()
   }
 
+  test("batchNbrMax equals the max over each source's per-vertex h-BFS ball") {
+    forAllSampled(genCase) { c =>
+      val rnd = new scala.util.Random(c.g.n)
+      val value = Array.fill(c.g.n)(rnd.nextInt(50))
+      val bfs = new HBfs(c.g.n)
+      for (batch <- c.batches; r <- 0 to c.h + 1) {
+        val expected = batch.map(v => (v +: bfs.nbrs.take(bfs.run(c.g, c.alive, v, r, Budget.unlimited()))).map(value).max)
+        val b = Budget.unlimited()
+        val got = new SequentialEngine(c.g.n).batchNbrMax(c.g, c.alive, batch, r, value, b)
+        assert(got.toSeq == expected.toSeq, s"$c r=$r batch=${batch.length}")
+        assert((b.visits, b.bfsCount) == (0L, 0L))
+      }
+    }
+  }
+
   private val threadMx =
     ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
 
