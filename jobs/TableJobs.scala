@@ -10,7 +10,7 @@ import repro.bench.TableRunners
   */
 private object Jobs {
   def session(): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-jobs")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

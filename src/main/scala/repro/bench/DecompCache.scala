@@ -11,13 +11,6 @@ object DecompCache {
 
   /** Core indices of dataset `name` at distance `h` (h-LB+UB, unbudgeted). */
   def cores(name: String, h: Int): Array[Int] = synchronized {
-    cache.getOrElseUpdate((name, h), {
-      val g = Datasets(name)
-      val eng =
-        if (Datasets.threadedNames(name)) new ThreadedEngine(g.n)
-        else new SequentialEngine(g.n)
-      try KHCore.decompose(g, h, Algo.HLBUB(), Some(eng)).core
-      finally eng.shutdown()
-    })
+    cache.getOrElseUpdate((name, h), TableRunners.decompose(name, Datasets(name), h, Algo.HLBUB()).core)
   }
 }

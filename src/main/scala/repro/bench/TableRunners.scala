@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.club._
-import repro.apps.{Densest, Landmarks}
+import repro.apps.Landmarks
 import repro.spark.GraphDF
 
 /** One runner per evaluation table. Each returns typed rows (for the bench
@@ -20,11 +20,18 @@ object TableRunners {
     catch { case _: BudgetExceeded => Left("NT") }
   }
 
-  private def engineFor(name: String, g: AdjGraph, algo: Algo): HDegEngine =
-    // The paper threads only h-LB+UB on the two hardest networks (§6.2).
-    if (Datasets.threadedNames(name) && algo.isInstanceOf[Algo.HLBUB])
-      new ThreadedEngine(g.n)
-    else new SequentialEngine(g.n)
+  /** `KHCore.decompose` on `g`, the graph of dataset `name`: on a
+    * [[ThreadedEngine]] where the paper threads the run (h-LB+UB on the two
+    * hardest networks, §6.2), else on KHCore's default sequential engine.
+    */
+  private[bench] def decompose(name: String, g: AdjGraph, h: Int, algo: Algo,
+                               budget: Budget = Budget.unlimited(), paperLiteral: Boolean = false): CoreResult = {
+    val eng =
+      if (Datasets.threadedNames(name) && algo.isInstanceOf[Algo.HLBUB]) Some(new ThreadedEngine(g.n))
+      else None
+    try KHCore.decompose(g, h, algo, eng, budget, paperLiteral)
+    finally eng.foreach(_.shutdown())
+  }
 
   // ------------------------------------------------------------------ T1
 
@@ -50,11 +57,9 @@ object TableRunners {
       h <- 1 to 5
     } yield {
       val g = Datasets(name)
-      val eng = new SequentialEngine(g.n)
-      val res = budgeted(budgetMs)(b => KHCore.decompose(g, h, Algo.HLBUB(), Some(eng), b)).map { r =>
+      val res = budgeted(budgetMs)(b => KHCore.decompose(g, h, Algo.HLBUB(), None, b)).map { r =>
         T2Cell(r.maxCore, r.distinctCores)
       }.getOrElse(T2Cell(-1, -1))
-      eng.shutdown()
       (name, h) -> res
     }).toMap
     Tables.emit("table2", "Table 2: maximum core index / number of distinct cores",
@@ -82,11 +87,9 @@ object TableRunners {
       h <- 2 to 4
     } yield {
       val g = Datasets(name)
-      val eng = engineFor(name, g, algo)
       val t0 = System.nanoTime()
       // Alg. 3 as written, so that the visits compare with the paper's.
-      val outcome = budgeted(budgetMs)(b => KHCore.decompose(g, h, algo, Some(eng), b, paperLiteral = true))
-      eng.shutdown()
+      val outcome = budgeted(budgetMs)(b => decompose(name, g, h, algo, b, paperLiteral = true))
       val ms = (System.nanoTime() - t0) / 1000000L
       val cell = outcome match {
         case Right(r) => T3Cell(r.millis, r.visits, finished = true, Some(r.core))
@@ -167,10 +170,8 @@ object TableRunners {
     } yield {
       val g = Datasets(name)
       val times = variants.map { case (vName, algo) =>
-        val eng = new SequentialEngine(g.n)
         // Alg. 3 as written, as in Table 3.
-        val res = budgeted(budgetMs)(b => KHCore.decompose(g, h, algo, Some(eng), b, paperLiteral = true))
-        eng.shutdown()
+        val res = budgeted(budgetMs)(b => KHCore.decompose(g, h, algo, None, b, paperLiteral = true))
         vName -> res.toOption.map(_.millis)
       }.toMap
       T5Row(name, h, times)

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Compact undirected, unweighted graph over vertices `0 until n`.
   *
   * Adjacency is stored as one sorted `Array[Int]` row per vertex; only the
@@ -18,7 +16,12 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
   def degree(v: Int): Int = adj(v).length
 
   /** Number of undirected edges. */
-  val numEdges: Long = adj.map(_.length.toLong).sum / 2
+  val numEdges: Long = {
+    var sum = 0L
+    var v = 0
+    while (v < n) { sum += adj(v).length; v += 1 }
+    sum / 2
+  }
 
   /** Undirected edge list with `src < dst`, sorted. */
   def edges: Array[(Int, Int)] = {
@@ -34,8 +37,9 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
   /** The `i`-th neighbour of `v` in ascending id order, `i < degree(v)`. */
   def neighbor(v: Int, i: Int): Int = adj(v)(i)
 
-  // Every vertex alive: the mask of the whole-graph traversals.
-  @transient private lazy val all = Array.fill(n)(true)
+  /** Every vertex alive: the mask of the whole-graph traversals and of the
+    * all-vertex bound batches. Shared, so never written. */
+  @transient private[repro] lazy val all = Array.fill(n)(true)
 
   /** The calling thread's [[HBfs]] after an unbounded BFS from `src` over
     * `alive`: `nbrs(0 until nbrCount)` are the vertices reached, in order of
@@ -122,19 +126,28 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
     */
   def induced(keep: Array[Boolean]): (AdjGraph, Array[Int]) = {
     val old2new = Array.fill(n)(-1)
-    val newIds = Array.newBuilder[Int]
     var cnt = 0
     var v = 0
-    while (v < n) {
-      if (keep(v)) { old2new(v) = cnt; newIds += v; cnt += 1 }
-      v += 1
-    }
-    val ids = newIds.result()
+    while (v < n) { if (keep(v)) { old2new(v) = cnt; cnt += 1 }; v += 1 }
+    val ids = new Array[Int](cnt)
     val newAdj = new Array[Array[Int]](cnt)
-    var i = 0
-    while (i < cnt) {
-      newAdj(i) = adj(ids(i)).collect { case u if keep(u) => old2new(u) }
-      i += 1
+    v = 0
+    while (v < n) {
+      val i = old2new(v)
+      if (i >= 0) {
+        ids(i) = v
+        // Two passes over the old row: the kept length, then the new ids.
+        val a = adj(v)
+        var len = 0
+        var j = 0
+        while (j < a.length) { if (keep(a(j))) len += 1; j += 1 }
+        val row = new Array[Int](len)
+        len = 0
+        j = 0
+        while (j < a.length) { if (keep(a(j))) { row(len) = old2new(a(j)); len += 1 }; j += 1 }
+        newAdj(i) = row
+      }
+      v += 1
     }
     (new AdjGraph(cnt, newAdj), ids)
   }
@@ -150,11 +163,14 @@ final class AdjGraph(val n: Int, val adj: Array[Array[Int]]) extends Serializabl
   def largestComponent(): (AdjGraph, Array[Int]) = {
     val comp = components()
     if (n == 0) return (this, Array.empty)
-    val sizes = mutable.Map.empty[Int, Int].withDefaultValue(0)
-    comp.foreach(c => sizes(c) += 1)
-    val big = sizes.maxBy(_._2)._1
-    val keep = comp.map(_ == big)
-    induced(keep)
+    // Component ids are below n; ties go to the lowest id.
+    val sizes = new Array[Int](n)
+    var v = 0
+    while (v < n) { sizes(comp(v)) += 1; v += 1 }
+    var big = 0
+    var c = 1
+    while (c < n) { if (sizes(c) > sizes(big)) big = c; c += 1 }
+    induced(comp.map(_ == big))
   }
 }
 
@@ -168,7 +184,9 @@ object AdjGraph {
     var m = 0
     val len = new Array[Int](n)
     edgeIt.iterator.foreach { case (a, b) =>
-      require(a >= 0 && a < n && b >= 0 && b < n, s"edge ($a,$b) out of range [0,$n)")
+      // Not `require`: its by-name message is a closure per edge.
+      if (a < 0 || a >= n || b < 0 || b >= n)
+        throw new IllegalArgumentException(s"edge ($a,$b) out of range [0,$n)")
       if (a != b) {
         if (m == ends.length) ends = java.util.Arrays.copyOf(ends, 2 * m)
         ends(m) = a; ends(m + 1) = b; m += 2

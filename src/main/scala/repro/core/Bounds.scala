@@ -21,18 +21,14 @@ object Bounds {
           budget: Budget = Budget.unlimited()): Array[Int] = {
     val r = h / 2
     if (r == 0) return new Array[Int](g.n)
-    val alive = Array.fill(g.n)(true)
-    engine.batchHDeg(g, alive, Array.range(0, g.n), r, budget)
+    engine.batchHDeg(g, g.all, Array.range(0, g.n), r, budget)
   }
 
   /** LB2 of every vertex given precomputed LB1 values: the engine's max
     * pass over closed neighbourhoods, which runs no h-BFS. */
   def lb2(g: AdjGraph, h: Int, lb1s: Array[Int], engine: HDegEngine,
-          budget: Budget = Budget.unlimited()): Array[Int] = {
-    val r = (h + 1) / 2
-    val alive = Array.fill(g.n)(true)
-    engine.batchNbrMax(g, alive, Array.range(0, g.n), r, lb1s, budget)
-  }
+          budget: Budget = Budget.unlimited()): Array[Int] =
+    engine.batchNbrMax(g, g.all, Array.range(0, g.n), (h + 1) / 2, lb1s, budget)
 
   /** Both lower bounds in one call. */
   def lowerBounds(g: AdjGraph, h: Int, engine: HDegEngine,
@@ -41,23 +37,22 @@ object Bounds {
     (l1, lb2(g, h, l1, engine, budget))
   }
 
-  /** Algorithm 5 (UpperBound): [[CoreDecomp.peelHDegrees]] with every
-    * h-neighbour of a peeled vertex dropping. By default it peels whole
-    * buckets in level-synchronous rounds, and a vertex drops by the number
-    * of the round's peeled vertices within distance h of it (the proof that
-    * this is still an upper bound is in the [[CoreDecomp]] scaladoc);
-    * `paperLiteral` peels one vertex per round, −1 per removal, Alg. 5 as
-    * written. Charges the initial h-degrees and one h-BFS per peeled
-    * vertex to `budget`.
+  /** Algorithm 5 (UpperBound): [[CoreDecomp.peelAll]] from the h-degrees,
+    * with every h-neighbour of a peeled vertex dropping. By default it
+    * peels whole buckets in level-synchronous rounds, and a vertex drops by
+    * the number of the round's peeled vertices within distance h of it (the
+    * proof that this is still an upper bound is in the [[CoreDecomp]]
+    * scaladoc); `paperLiteral` peels one vertex per round, −1 per removal,
+    * Alg. 5 as written. Charges the initial h-degrees and one h-BFS per
+    * peeled vertex to `budget`.
     */
   def upperBound(g: AdjGraph, h: Int, engine: HDegEngine,
                  budget: Budget = Budget.unlimited(), paperLiteral: Boolean = false): Array[Int] =
-    CoreDecomp.peelHDegrees(g, h, remeasureBelow = 1, paperLiteral, engine, budget).core
+    CoreDecomp.peelAll(g, h, hDegUB(g, h, engine, budget), lowerBound = false, remeasureBelow = 1,
+                       paperLiteral, engine, budget).core
 
   /** The trivial upper bound: initial h-degree of every vertex. */
   def hDegUB(g: AdjGraph, h: Int, engine: HDegEngine,
-             budget: Budget = Budget.unlimited()): Array[Int] = {
-    val alive = Array.fill(g.n)(true)
-    engine.batchHDeg(g, alive, Array.range(0, g.n), h, budget)
-  }
+             budget: Budget = Budget.unlimited()): Array[Int] =
+    engine.batchHDeg(g, g.all, Array.range(0, g.n), h, budget)
 }

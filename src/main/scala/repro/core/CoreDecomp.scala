@@ -39,7 +39,9 @@ package repro.core
   *  - 1 at the one level kmin−1, with kmax = kmin−1 (ImproveLB's clean-up
   *    in [[HLBUB.runInterval]]): every vertex whose upper bound falls
   *    below kmin is removed, and none is assigned.
-  * h-BZ always peels one vertex per round.
+  * h-BZ always peels one vertex per round. h-BZ, h-LB and UpperBound
+  * bucket every vertex and peel [0, n−1] through [[peelAll]]; h-LB+UB
+  * calls [[run]] once per interval.
   *
   * Why a level-synchronous round is exact. Let A be the alive set when the
   * round starts; by induction, A contains the (k+1,h)-core C_{k+1}.
@@ -101,19 +103,21 @@ object CoreDecomp {
     val listed = new Array[Boolean](n)
   }
 
-  /** h-BZ (`remeasureBelow = h + 1`, `paperLiteral`) and UpperBound
-    * (`remeasureBelow = 1`): bucket every vertex at its h-degree, from one
-    * all-vertex batch, and peel [0, n−1]. Returns the state, whose `core`
-    * holds the core index (or UB) of every vertex.
+  /** h-BZ, h-LB and UpperBound: bucket every vertex at `init(v)` and peel
+    * [0, n−1]. `init` is every vertex's h-degree (`lowerBound` false: h-BZ
+    * with `remeasureBelow = h + 1`, UpperBound with 1) or a lower bound of
+    * its core index, with `setLB` raised (`lowerBound`: h-LB, at LB2 or
+    * LB1, with `remeasureBelow = h`). Returns the state, whose `core` holds
+    * the core index (or UB) of every vertex.
     */
-  private[core] def peelHDegrees(g: AdjGraph, h: Int, remeasureBelow: Int, paperLiteral: Boolean,
-                                 engine: HDegEngine, budget: Budget): State = {
+  private[core] def peelAll(g: AdjGraph, h: Int, init: Array[Int], lowerBound: Boolean,
+                            remeasureBelow: Int, paperLiteral: Boolean,
+                            engine: HDegEngine, budget: Budget): State = {
     val n = g.n
     val st = new State(n)
     java.util.Arrays.fill(st.alive, true)
-    val init = engine.batchHDeg(g, st.alive, Array.range(0, n), h, budget)
     var v = 0
-    while (v < n) { st.deg(v) = init(v); st.buckets.add(v, init(v)); v += 1 }
+    while (v < n) { st.deg(v) = init(v); st.setLB(v) = lowerBound; st.buckets.add(v, init(v)); v += 1 }
     run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral, st, engine, budget)
     st
   }

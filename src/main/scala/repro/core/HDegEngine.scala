@@ -162,13 +162,15 @@ class LocalEngine private[repro] (threads: Int) extends HDegEngine {
 }
 
 /** Single-threaded engine (the sequential versions of the algorithms): no
-  * pool, every batch on the caller. `n` is the size of the graphs it will
-  * serve; the scratch is the caller thread's, sized at the first batch.
+  * pool, every batch on the caller, on the calling thread's scratch, sized
+  * at the first batch. `n` is ignored; it is kept only because perfbench
+  * constructs engines with it, and goes with perfbench's next change.
   */
 final class SequentialEngine(n: Int) extends LocalEngine(1)
 
 /** Multithreaded engine (§4.6): the local engine on a fixed pool of
   * `threads` (none when `threads` is 1, which is [[SequentialEngine]]).
+  * `n` is ignored, as in [[SequentialEngine]].
   */
 final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availableProcessors())
     extends LocalEngine(threads)

@@ -219,9 +219,10 @@ object HLBUB {
     java.util.Arrays.fill(alive, false)
   }
 
-  /** Full h-LB+UB decomposition: one [[State]] for the whole run, intervals
-    * visited top-down. The result's order lists the intervals from lowest
-    * to highest, each in its own assignment order.
+  /** Full h-LB+UB decomposition of a non-empty graph, for
+    * [[KHCore.decompose]]: one [[State]] for the whole run, intervals
+    * visited top-down. Returns the state, whose `order` lists the intervals
+    * from lowest to highest, each in its own assignment order.
     *
     * @param s       interval width in distinct UB values; None ⇒ start at
     *                ⌈(|U|−1)/12⌉ and double after every interval that
@@ -233,15 +234,8 @@ object HLBUB {
     *                round (Alg. 5 and 3 as written) instead of a whole
     *                bucket
     */
-  def decompose(g: AdjGraph, h: Int,
-                engine: HDegEngine,
-                budget: Budget,
-                s: Option[Int],
-                useHDegAsUB: Boolean,
-                paperLiteral: Boolean): CoreResult = {
-    require(h >= 1, "h must be >= 1")
-    val t0 = System.nanoTime()
-    if (g.n == 0) return CoreResult(Array.empty, Array.empty, 0, 0, 0)
+  private[core] def decompose(g: AdjGraph, h: Int, engine: HDegEngine, budget: Budget,
+                              s: Option[Int], useHDegAsUB: Boolean, paperLiteral: Boolean): State = {
     val p = plan(g, h, engine, budget, s, useHDegAsUB, paperLiteral)
     val st = new State(g.n)
     // An interval that assigns no vertex shows that every open vertex of
@@ -267,7 +261,7 @@ object HLBUB {
     var start = 0
     var i = 0
     while (i < count) { reverse(order, n - ends(i), n - start); start = ends(i); i += 1 }
-    CoreResult(st.core, order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    st
   }
 
   private def reverse(a: Array[Int], from: Int, until: Int): Unit = {

@@ -15,11 +15,18 @@ object Algo {
   final case class HLBUBHDeg(s: Option[Int] = None) extends Algo
 }
 
-/** Facade over the three exact algorithms of §4.
+/** Facade over the three exact algorithms of §4, and the one shell that
+  * runs them: it checks `h`, answers the empty graph, owns the default
+  * sequential engine, times the run and builds the [[CoreResult]].
   *
   * All of them return identical core indices (they are exact); they differ
   * in runtime and in the number of h-BFS visits they spend — the quantities
-  * Tables 3 and 5 compare.
+  * Tables 3 and 5 compare. h-BZ (Alg. 1) and h-LB (Alg. 2) are one
+  * [[CoreDecomp.peelAll]] each: h-BZ buckets every vertex at its h-degree
+  * and re-measures every h-neighbour of a peeled vertex (one h-BFS each),
+  * the cost the later algorithms attack; h-LB buckets every vertex at its
+  * LB2 (LB1 for the Table 5 ablation) with `setLB` raised, so an h-degree
+  * is materialized only when the vertex's bucket is reached.
   *
   * h-LB and h-LB+UB (its CoreDecomp and its UpperBound) peel each bucket
   * in level-synchronous rounds by default; `paperLiteral` selects Alg. 3
@@ -32,17 +39,26 @@ object KHCore {
                 engine: Option[HDegEngine] = None,
                 budget: Budget = Budget.unlimited(),
                 paperLiteral: Boolean = false): CoreResult = {
+    require(h >= 1, "h must be >= 1")
+    if (g.n == 0) return CoreResult(Array.empty, Array.empty, 0, 0, 0)
     val eng = engine.getOrElse(new SequentialEngine(g.n))
-    try {
-      algo match {
-        case Algo.HBZ           => HBZ.decompose(g, h, eng, budget)
-        case Algo.HLB           => HLB.decompose(g, h, eng, budget, useLB1Only = false, paperLiteral)
-        case Algo.HLB1          => HLB.decompose(g, h, eng, budget, useLB1Only = true, paperLiteral)
-        case Algo.HLBUB(s)      => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = false, paperLiteral)
-        case Algo.HLBUBHDeg(s)  => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = true, paperLiteral)
+    val t0 = System.nanoTime()
+    val st =
+      try {
+        algo match {
+          case Algo.HBZ =>
+            CoreDecomp.peelAll(g, h, Bounds.hDegUB(g, h, eng, budget), lowerBound = false,
+                               remeasureBelow = h + 1, paperLiteral = true, eng, budget)
+          case Algo.HLB | Algo.HLB1 =>
+            val l1 = Bounds.lb1(g, h, eng, budget)
+            val lb = if (algo == Algo.HLB1) l1 else Bounds.lb2(g, h, l1, eng, budget)
+            CoreDecomp.peelAll(g, h, lb, lowerBound = true, remeasureBelow = h, paperLiteral, eng, budget)
+          case Algo.HLBUB(s)     => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = false, paperLiteral)
+          case Algo.HLBUBHDeg(s) => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = true, paperLiteral)
+        }
+      } finally {
+        if (engine.isEmpty) eng.shutdown()
       }
-    } finally {
-      if (engine.isEmpty) eng.shutdown()
-    }
+    CoreResult(st.core, st.order, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

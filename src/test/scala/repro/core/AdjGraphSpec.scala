@@ -147,6 +147,36 @@ class AdjGraphSpec extends AnyFunSuite {
     assert(sub.numEdges == 2) // 0-1, 1-2; vertex 4 isolated
   }
 
+  test("induced and inducedOn equal a subgraph built by filtering the edges, on random ER graphs and masks") {
+    val rnd = new scala.util.Random(23)
+    for (trial <- 0 until 30) {
+      val n = 1 + rnd.nextInt(40)
+      val g = GraphGen.er(n, rnd.nextInt(math.min(2 * n, n * (n - 1) / 2) + 1), trial)
+      val masks = Seq(Array.fill(n)(false), Array.fill(n)(true),
+                      Array.fill(n)(rnd.nextBoolean()), Array.fill(n)(rnd.nextInt(4) == 0))
+      for ((keep, m) <- masks.zipWithIndex) {
+        val ids = (0 until n).filter(keep(_))
+        val newId = ids.zipWithIndex.toMap
+        val expected = AdjGraph.fromEdges(ids.length,
+          g.edges.collect { case (a, b) if keep(a) && keep(b) => (newId(a), newId(b)) })
+        for ((label, (sub, got)) <- Seq("induced" -> g.induced(keep), "inducedOn" -> g.inducedOn(ids))) {
+          val where = s"$label trial $trial mask $m"
+          assert(got.toSeq == ids, where)
+          assert(sub.n == ids.length, where)
+          assert(sub.adj.map(_.toSeq).toSeq == expected.adj.map(_.toSeq).toSeq, where)
+          assert(sub.numEdges == expected.numEdges, where)
+        }
+      }
+    }
+  }
+
+  test("largestComponent breaks a size tie to the lowest component id") {
+    // Components by discovery: {0,1} = 0, {2} = 1, {3,4} = 2, {5} = 3.
+    val (big, ids) = AdjGraph.fromEdges(6, Seq((3, 4), (0, 1))).largestComponent()
+    assert(big.n == 2 && big.numEdges == 1)
+    assert(ids.toSeq == Seq(0, 1))
+  }
+
   test("largestComponent picks the bigger side") {
     val g = AdjGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 3), (4, 5)))
     val (big, ids) = g.largestComponent()

@@ -128,6 +128,39 @@ class AlgorithmsSpec extends AnyFunSuite {
     } finally eng.shutdown()
   }
 
+  /** One of each `Algo` case. */
+  private val everyCase: Seq[Algo] =
+    Seq(Algo.HBZ, Algo.HLB, Algo.HLB1, Algo.HLBUB(), Algo.HLBUBHDeg())
+
+  test("h = 0 is rejected for every algorithm, the empty graph included") {
+    for (g <- Seq(GraphGen.figure1, AdjGraph.empty(0)); algo <- everyCase)
+      intercept[IllegalArgumentException] { KHCore.decompose(g, 0, algo) }
+  }
+
+  test("the shared all-alive mask stays all true after every algorithm and bound, on both engines") {
+    val g = GraphGen.randomConnected(200, 4.0, 7)
+    val threaded = new ThreadedEngine(g.n, threads = 4)
+    def allAlive(what: String): Unit = assert(g.all.forall(identity), what)
+    try {
+      for (eng <- Seq[HDegEngine](new SequentialEngine(g.n), threaded); h <- 1 to 3) {
+        for (algo <- everyCase; literal <- Seq(false, true)) {
+          KHCore.decompose(g, h, algo, Some(eng), paperLiteral = literal)
+          allAlive(s"$algo paperLiteral=$literal h=$h on $eng")
+        }
+        val l1 = Bounds.lb1(g, h, eng)
+        allAlive(s"lb1 h=$h on $eng")
+        Bounds.lb2(g, h, l1, eng)
+        allAlive(s"lb2 h=$h on $eng")
+        Bounds.hDegUB(g, h, eng)
+        allAlive(s"hDegUB h=$h on $eng")
+        for (literal <- Seq(false, true)) {
+          Bounds.upperBound(g, h, eng, paperLiteral = literal)
+          allAlive(s"upperBound paperLiteral=$literal h=$h on $eng")
+        }
+      }
+    } finally threaded.shutdown()
+  }
+
   test("CoreResult helpers: maxCore, distinctCores, coreVertices") {
     val g = GraphGen.figure1
     val r = KHCore.decompose(g, 2)
