@@ -11,8 +11,9 @@ package repro.core
   * and PKC, Kabir & Madduri, IPDPSW 2017), or only its first vertex
   * (`paperLiteral`, Alg. 1 / 3 as written).
   *  - If a vertex of P has its `setLB` flag raised, it sits at a lower
-  *    bound: all such vertices are measured in one engine batch, P is
-  *    re-bucketed and the level is popped again (Alg. 3 lines 4–7).
+  *    bound: all such vertices, and the `capped` ones (see below), are
+  *    measured in one engine batch, P is re-bucketed and the level is
+  *    popped again (Alg. 3 lines 4–7).
   *  - Otherwise every f ∈ P is peeled at level k. Discovery runs an h-BFS
   *    from each f, with all of P still alive, and reads for each vertex u
   *    it reaches (skipping P and vertices at a lower bound) its distance
@@ -31,7 +32,8 @@ package repro.core
   *    [[EngineScratch]], and no engine call falls between a discovery and
   *    the reading of its output.
   *
-  * The four callers differ only in `remeasureBelow` and the levels peeled:
+  * The four callers differ only in `remeasureBelow`, the levels peeled and
+  * whether h-LB's re-measures are capped:
   *  - h + 1 (h-BZ): every h-neighbour is re-measured (Alg. 1 line 9);
   *  - h (CoreDecomp): neighbours at distance h drop (Alg. 3 lines 14–17);
   *  - 1 (UpperBound): every h-neighbour drops, the core decomposition of
@@ -55,6 +57,33 @@ package repro.core
   *    removing P loses u exactly the vertices of P within distance h, the
   *    cnt(u) sources that reach u. A flagged vertex's `deg` is overwritten
   *    by its re-measure.
+  *
+  * Capped re-measures (h-LB only, not paper-literal). Until a vertex's own
+  * level comes, the peel only needs to know that its h-degree is above the
+  * current level: this is §4.3's lazy materialisation, carried from the
+  * initial bounds to the re-measures. At level k, a flagged vertex may be
+  * re-measured by an h-BFS that stops after `cap` h-neighbours, with
+  * `cap = k + 1 + max(4, ⌊k/4⌋)` ([[Caps.Lazy]]). If it stops, u keeps the
+  * count as `deg(u)`, is marked `capped`, and sits in bucket max(deg(u), k).
+  * Unlike a `setLB` vertex, it still takes the −cnt drops and the flags;
+  * when a round pops it, it is measured exactly in that round's `setLB`
+  * batch, before anything is peeled. Why the result stays exact:
+  *  - a capped count is at most u's h-degree in the alive set;
+  *  - a −cnt drop is u's exact loss of h-degree (see above), so after it
+  *    `deg(u)` is still at most u's h-degree; a nearer peeled vertex flags u
+  *    for a new capped or exact measure instead;
+  *  - so every alive vertex sits in a bucket ≤ max(its h-degree, k), as an
+  *    exactly measured one does, and no vertex is peeled without an exact
+  *    h-degree at its own level.
+  * This is the `setLB` contract with a lower bound of the h-degree that the
+  * peel keeps up to date, instead of a frozen lower bound of the core index.
+  * A flagged vertex is capped only if it is already capped or has
+  * `deg(u) ≥ 2·cap`: an uncapped `deg(u)` bounds its new h-degree from
+  * above, and below 2·cap counting in lanes costs more than the cap saves.
+  * The flagged vertices are partitioned in place into a capped and an exact
+  * batch. The h-LB+UB interval peels stay exact: capped, their visits
+  * moved by ≤ 0.002% (hub h=3: 16 275 873 → 16 276 126–16 276 170) and
+  * came to depend on vertex ids.
   *
   * Why UpperBound in rounds is still an upper bound. Invariant: `deg(u)` is
   * at least u's h-degree in the alive set. Removing P from A costs u at
@@ -103,18 +132,52 @@ object CoreDecomp {
     val listed = new Array[Boolean](n)
   }
 
+  /** The state of a peel that caps its re-measures by `caps`: `capped`
+    * marks the vertices whose `deg` is a capped count, a lower bound of
+    * their h-degree. */
+  private[core] final class CappedState(n: Int, val caps: Caps) extends State(n) {
+    val capped = new Array[Boolean](n)
+  }
+
+  /** Which flagged vertices are re-measured with a cap at level k, and the
+    * cap (see the object doc). */
+  private[core] sealed abstract class Caps {
+    def at(k: Int): Int
+    def eligible(deg: Int, capped: Boolean, cap: Int): Boolean
+  }
+
+  private[core] object Caps {
+    /** h-LB's rule: cap k + 1 + max(4, ⌊k/4⌋), for a vertex already capped
+      * or with `deg ≥ 2·cap`. */
+    case object Lazy extends Caps {
+      def at(k: Int): Int = k + 1 + math.max(4, k / 4)
+      def eligible(deg: Int, capped: Boolean, cap: Int): Boolean = capped || deg >= 2 * cap
+    }
+
+    /** Cap k + 1 for every flagged vertex, so that capped vertices are
+      * popped, and re-measured, as often as possible. */
+    private[core] case object Tight extends Caps {
+      def at(k: Int): Int = k + 1
+      def eligible(deg: Int, capped: Boolean, cap: Int): Boolean = true
+    }
+  }
+
   /** h-BZ, h-LB and UpperBound: bucket every vertex at `init(v)` and peel
     * [0, n−1]. `init` is every vertex's h-degree (`lowerBound` false: h-BZ
     * with `remeasureBelow = h + 1`, UpperBound with 1) or a lower bound of
     * its core index, with `setLB` raised (`lowerBound`: h-LB, at LB2 or
-    * LB1, with `remeasureBelow = h`). Returns the state, whose `core` holds
-    * the core index (or UB) of every vertex.
+    * LB1, with `remeasureBelow = h`). `caps` caps h-LB's re-measures.
+    * Returns the state, whose `core` holds the core index (or UB) of every
+    * vertex.
     */
   private[core] def peelAll(g: AdjGraph, h: Int, init: Array[Int], lowerBound: Boolean,
                             remeasureBelow: Int, paperLiteral: Boolean,
-                            engine: HDegEngine, budget: Budget): State = {
+                            engine: HDegEngine, budget: Budget, caps: Option[Caps] = None): State = {
     val n = g.n
-    val st = new State(n)
+    val st = caps match {
+      case Some(c) => new CappedState(n, c)
+      case None => new State(n)
+    }
     java.util.Arrays.fill(st.alive, true)
     var v = 0
     while (v < n) { st.deg(v) = init(v); st.setLB(v) = lowerBound; st.buckets.add(v, init(v)); v += 1 }
@@ -128,6 +191,9 @@ object CoreDecomp {
     val buckets = st.buckets
     val deg = st.deg
     val setLB = st.setLB
+    val capping = st match { case c: CappedState => c; case _ => null }
+    val caps = if (capping == null) null else capping.caps
+    val capped = if (capping == null) null else capping.capped
     val list = st.list
     val listed = st.listed
     val scratch = EngineScratch.get(g.n)
@@ -144,20 +210,27 @@ object CoreDecomp {
         np += 1
         v = if (np < roundMax) buckets.pop(k) else -1
       }
+      def bounded(u: Int): Boolean = setLB(u) || (capped != null && capped(u))
       var nLB = 0
       var i = 0
-      while (i < np) { if (setLB(list(i))) nLB += 1; i += 1 }
+      while (i < np) { if (bounded(list(i))) nLB += 1; i += 1 }
       if (np == 0) k += 1
       else if (nLB > 0) {
         // Lines 4–7: first touch at this level — materialize the real
-        // h-degrees and re-bucket P (clamped to the current level).
+        // h-degrees of the lower-bounded and capped vertices and re-bucket P
+        // (clamped to the current level).
         val batch = new Array[Int](nLB)
         var j = 0
         i = 0
-        while (i < np) { val u = list(i); if (setLB(u)) { batch(j) = u; j += 1 }; i += 1 }
+        while (i < np) { val u = list(i); if (bounded(u)) { batch(j) = u; j += 1 }; i += 1 }
         val d = engine.batchHDeg(g, alive, batch, h, budget)
         j = 0
-        while (j < nLB) { deg(batch(j)) = d(j); setLB(batch(j)) = false; j += 1 }
+        while (j < nLB) {
+          val u = batch(j)
+          deg(u) = d(j); setLB(u) = false
+          if (capped != null) capped(u) = false
+          j += 1
+        }
         i = 0
         while (i < np) { val u = list(i); buckets.add(u, math.max(deg(u), k)); i += 1 }
       } else {
@@ -190,13 +263,39 @@ object CoreDecomp {
         }
         i = 0
         while (i < np) { alive(list(i)) = false; i += 1 }
-        if (nl > np) {
-          val batch = java.util.Arrays.copyOfRange(list, np, nl)
+        // Re-measure the flagged vertices: list(np until nc) with a cap,
+        // list(nc until nl) exactly.
+        var nc = np
+        if (caps != null) {
+          val cap = caps.at(k)
+          i = np
+          while (i < nl) {
+            val u = list(i)
+            if (caps.eligible(deg(u), capped(u), cap)) { list(i) = list(nc); list(nc) = u; nc += 1 }
+            i += 1
+          }
+          if (nc > np) {
+            val batch = java.util.Arrays.copyOfRange(list, np, nc)
+            val newDegs = engine.batchHDegCapped(g, alive, batch, h, cap, budget)
+            var j = 0
+            while (j < batch.length) {
+              val u = batch(j)
+              val d = newDegs(j)
+              capped(u) = d < 0
+              deg(u) = if (d < 0) ~d else d
+              buckets.move(u, math.max(deg(u), k))
+              j += 1
+            }
+          }
+        }
+        if (nl > nc) {
+          val batch = java.util.Arrays.copyOfRange(list, nc, nl)
           val newDegs = engine.batchHDeg(g, alive, batch, h, budget)
           var j = 0
           while (j < batch.length) {
             val u = batch(j)
             deg(u) = newDegs(j)
+            if (capped != null) capped(u) = false
             buckets.move(u, math.max(deg(u), k))
             j += 1
           }

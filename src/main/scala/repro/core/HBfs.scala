@@ -27,8 +27,15 @@ final class HBfs(n: Int) {
     * regardless of its own alive flag (callers peel the source after
     * collecting its neighborhood). Returns the h-degree. Accounts visits
     * against `budget` and honors its limits.
+    *
+    * With a `cap`, the run stops once it has `cap` or more h-neighbours
+    * while a vertex at distance < h is still queued, and returns the
+    * bitwise complement `~nbrCount` (negative) of the count so far, which
+    * lies in [cap, h-degree]; a run that ends on its own returns the
+    * h-degree, whatever the cap.
     */
-  def run(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget): Int = {
+  def run(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget,
+          cap: Int = Int.MaxValue): Int = {
     token += 1
     // The stamps would repeat: clear them before a slot stamped long ago,
     // or never, can read as seen.
@@ -39,10 +46,12 @@ final class HBfs(n: Int) {
     queue(tail) = src; tail += 1
     nbrCount = 0
     var visits = 1L
+    var capped = false
     while (head < tail) {
       val u = queue(head); head += 1
       val du = dist(u)
-      if (du < h) {
+      if (du < h && nbrCount >= cap) { capped = true; head = tail }
+      else if (du < h) {
         val a = g.adj(u)
         var i = 0
         while (i < a.length) {
@@ -61,7 +70,7 @@ final class HBfs(n: Int) {
     }
     budget.merge(visits, 1)
     budget.check()
-    nbrCount
+    if (capped) ~nbrCount else nbrCount
   }
 
   /** Sets the stamp of the last run, to test the wrap. */
@@ -75,10 +84,14 @@ final class HBfs(n: Int) {
   *
   * One instance per thread. Only alive vertices (and the sources) ever get
   * a bit; `touched` lists them, so a reset costs O(touched), not O(n).
-  * Each lane's visits are exactly those of [[HBfs.run]] from its source.
-  * One traversal serves two outputs: [[run]] gives each lane's h-degree,
-  * [[discover]] each reached vertex's distance to the block and the number
-  * of lanes that reached it.
+  * One exact traversal serves two outputs: [[run]] gives each lane's
+  * h-degree, [[discover]] each reached vertex's distance to the block and
+  * the number of lanes that reached it; in both, each lane's visits are
+  * exactly those of [[HBfs.run]] from its source. [[runCapped]] is a
+  * separate traversal that stops a lane once its count reaches a cap; where
+  * a lane stops depends on the order in which the block's scans reach its
+  * vertices, so its capped count and visits depend on the 64-vertex block
+  * it ran in, not on its source alone.
   */
 final class MultiHBfs(n: Int) {
   private val seen = new Array[Long](n)
@@ -97,6 +110,8 @@ final class MultiHBfs(n: Int) {
   private val planes = new Array[Long](32)
   // Counting-sort cursors of [[discover]], one per lowest lane (+ 1).
   private val slot = new Array[Int](MultiHBfs.Lanes + 1)
+  // Per-lane count of [[runCapped]] above its 4 low bits, in steps of 16.
+  private val over = new Array[Int](MultiHBfs.Lanes)
 
   /** After [[discover]] returns m: `found(0 until m)` are the vertices some
     * lane reached (the sources included), `foundRound(i)` is the round in
@@ -148,6 +163,109 @@ final class MultiHBfs(n: Int) {
         x &= x - 1
       }
       p += 1
+    }
+    budget.merge(visits, lanes)
+    budget.check()
+  }
+
+  /** [[run]] with a cap: the `lanes` sources' h-degrees, except that a lane
+    * is dropped from the traversal once its count of h-neighbours, rounded
+    * down to a multiple of 16, reaches `cap`; its slot of `out` then holds
+    * the bitwise complement `~count` (negative) of its count, which lies in
+    * [cap, h-degree]. Every other slot holds the exact h-degree. Each round
+    * adds its new bits
+    * into 4 bit-sliced planes (the low 4 bits of every lane's count); a
+    * carry out of the top plane adds 16 to the lane's `over` counter, and
+    * the lane stops once that counter reaches `cap`. A lane's visits are
+    * at most those of its exact run. Charges what [[run]] charges for the
+    * visits made.
+    */
+  def runCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
+                h: Int, cap: Int, budget: Budget, out: Array[Int]): Unit = {
+    require(lanes >= 1 && lanes <= MultiHBfs.Lanes, s"lanes $lanes not in [1, ${MultiHBfs.Lanes}]")
+    var nTouched = 0
+    var nFrontier = 0
+    var i = 0
+    while (i < lanes) {
+      val s = vertices(from + i)
+      if (seen(s) == 0L) { touched(nTouched) = s; nTouched += 1; frontier(nFrontier) = s; nFrontier += 1 }
+      seen(s) |= 1L << i
+      visit(s) |= 1L << i
+      over(i) = 0
+      i += 1
+    }
+    var p0 = 0L; var p1 = 0L; var p2 = 0L; var p3 = 0L
+    // Lanes still traversed.
+    var live = if (lanes == MultiHBfs.Lanes) -1L else (1L << lanes) - 1
+    var round = 1
+    while (round <= h && nFrontier > 0 && live != 0L) {
+      val last = round == h
+      var nReached = 0
+      var k = 0
+      while (k < nFrontier) {
+        val u = frontier(k)
+        val bits = visit(u) & live
+        visit(u) = 0L
+        if (bits != 0L) {
+          val a = g.adj(u)
+          var j = 0
+          while (j < a.length) {
+            val w = a(j)
+            if (alive(w)) {
+              val sw = seen(w)
+              val d = bits & ~sw
+              if (d != 0L) {
+                if (sw == 0L) { touched(nTouched) = w; nTouched += 1 }
+                seen(w) = sw | d
+                if (!last) {
+                  if (next(w) == 0L) { reached(nReached) = w; nReached += 1 }
+                  next(w) |= d
+                }
+                // Add 1 to each lane of `d`.
+                val c0 = p0 & d; p0 ^= d
+                if (c0 != 0L) {
+                  val c1 = p1 & c0; p1 ^= c0
+                  if (c1 != 0L) {
+                    val c2 = p2 & c1; p2 ^= c1
+                    if (c2 != 0L) {
+                      var c3 = p3 & c2; p3 ^= c2
+                      while (c3 != 0L) {
+                        val lane = java.lang.Long.numberOfTrailingZeros(c3)
+                        over(lane) += 16
+                        if (over(lane) >= cap) live &= ~(1L << lane)
+                        c3 &= c3 - 1
+                      }
+                    }
+                  }
+                }
+              }
+            }
+            j += 1
+          }
+        }
+        k += 1
+      }
+      val v = visit; visit = next; next = v
+      val f = frontier; frontier = reached; reached = f
+      nFrontier = nReached
+      round += 1
+    }
+    i = 0
+    while (i < nFrontier) { visit(frontier(i)) = 0L; i += 1 }
+    var visits = 0L
+    i = 0
+    while (i < nTouched) {
+      val w = touched(i)
+      visits += java.lang.Long.bitCount(seen(w))
+      seen(w) = 0L
+      i += 1
+    }
+    i = 0
+    while (i < lanes) {
+      val count = over(i) + ((p0 >>> i) & 1L).toInt + 2 * ((p1 >>> i) & 1L).toInt +
+                  4 * ((p2 >>> i) & 1L).toInt + 8 * ((p3 >>> i) & 1L).toInt
+      out(from + i) = if (over(i) >= cap) ~count else count
+      i += 1
     }
     budget.merge(visits, lanes)
     budget.check()

@@ -15,6 +15,23 @@ trait HDegEngine {
   def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget): Array[Int]
 
+  /** [[batchHDeg]] with a cap (h-LB's capped re-measures, see
+    * [[CoreDecomp]]): each vertex's h-BFS may stop once it has counted
+    * `cap` or more h-neighbours, and its entry then holds the bitwise
+    * complement `~count` (negative) of that count, which lies in [cap,
+    * h-degree]; every other entry is the exact h-degree. Where a lane of
+    * the 64-lane kernel stops depends on its block, so the blocks start at
+    * the multiples of 64 in `vertices` on every engine: counts and visits
+    * are then the same on every engine and thread count. This default runs
+    * the batch on the caller, through [[EngineKernels.hDegRange]].
+    */
+  def batchHDegCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                      h: Int, cap: Int, budget: Budget): Array[Int] = {
+    val out = new Array[Int](vertices.length)
+    EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, vertices.length, cap)
+    out
+  }
+
   /** For each vertex v in `vertices`: max of `value` over v's r-neighborhood
     * including v itself — the kernel of the LB2 bound (Obs. 2).
     *
@@ -101,19 +118,23 @@ private[repro] object EngineKernels {
   /** The h-degree kernel shared by the engines: blocks of up to 64 vertices
     * go through [[MultiHBfs]], and a batch or tail under 8 vertices
     * through per-vertex [[HBfs.run]]. Visits and BFS counts are the same
-    * either way.
+    * either way. With a `cap` (below `Int.MaxValue`), the blocks run
+    * [[MultiHBfs.runCapped]] and the tail [[HBfs.run]] with the cap, and
+    * an entry stopped by the cap reads `~count`.
     */
   def hDegRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget,
-                s: EngineScratch, out: Array[Int], from: Int, until: Int): Unit = {
+                s: EngineScratch, out: Array[Int], from: Int, until: Int,
+                cap: Int = Int.MaxValue): Unit = {
     var i = from
     while (until - i >= MinLanes) {
       val lanes = math.min(MultiHBfs.Lanes, until - i)
-      s.multi.run(g, alive, vertices, i, lanes, h, budget, out)
+      if (cap == Int.MaxValue) s.multi.run(g, alive, vertices, i, lanes, h, budget, out)
+      else s.multi.runCapped(g, alive, vertices, i, lanes, h, cap, budget, out)
       i += lanes
     }
     while (i < until) {
-      out(i) = s.bfs.run(g, alive, vertices(i), h, budget)
+      out(i) = s.bfs.run(g, alive, vertices(i), h, budget, cap)
       i += 1
     }
   }
@@ -125,27 +146,36 @@ private[repro] object EngineKernels {
   * batch when `threads` is 1, runs on the caller. A longer one is split
   * into `threads * 4` chunks, rounded up to multiples of 64 vertices so
   * that every chunk but the last fills whole 64-lane blocks, and run on a
-  * fixed pool; a single-chunk batch still runs on the caller. A worker's
-  * failure, e.g. [[BudgetExceeded]], is rethrown as itself. LB2 batches
-  * are the trait's max pass, on the caller.
+  * fixed pool; a single-chunk batch still runs on the caller. Capped
+  * batches are chunked the same way, so their 64-lane blocks are those of
+  * a run on the caller. A worker's failure, e.g. [[BudgetExceeded]], is
+  * rethrown as itself. LB2 batches are the trait's max pass, on the caller.
   */
 class LocalEngine private[repro] (threads: Int) extends HDegEngine {
   require(threads >= 1, s"threads = $threads")
   private val pool = if (threads > 1) Executors.newFixedThreadPool(threads) else null
 
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                         h: Int, budget: Budget): Array[Int] = {
+                         h: Int, budget: Budget): Array[Int] =
+    chunked(g, alive, vertices, h, Int.MaxValue, budget)
+
+  override def batchHDegCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                               h: Int, cap: Int, budget: Budget): Array[Int] =
+    chunked(g, alive, vertices, h, cap, budget)
+
+  private def chunked(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                      h: Int, cap: Int, budget: Budget): Array[Int] = {
     val len = vertices.length
     val out = new Array[Int](len)
     // Chunk length; `len` or more ⇒ run on the caller.
     val chunk =
       if (pool == null) len
       else math.max(1, (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes) * MultiHBfs.Lanes
-    if (chunk >= len) EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, len)
+    if (chunk >= len) EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, len, cap)
     else {
       val tasks = (0 until len by chunk).map { from =>
         (() => EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out,
-                                       from, math.min(len, from + chunk))): Callable[Unit]
+                                       from, math.min(len, from + chunk), cap)): Callable[Unit]
       }
       pool.invokeAll(tasks.asJava).asScala.foreach { f =>
         try f.get()

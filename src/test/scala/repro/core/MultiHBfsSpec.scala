@@ -12,7 +12,9 @@ import scala.jdk.CollectionConverters._
   * [[HBfs.run]] per source: same h-degrees, same visits, same BFS count,
   * on any graph, alive mask and batch (dead and repeated sources included);
   * its discovery output gives each reached vertex the minimum distance and
-  * the number of sources that the per-source runs give.
+  * the number of sources that the per-source runs give. A capped run gives
+  * each source its exact h-degree or a count in [cap, h-degree], for no
+  * more visits, and the same answer on every thread count.
   * The engines keep their h-BFS scratch per thread, not per engine:
   * building one is free, a thread's scratch grows to the largest graph it
   * has served and is reused, and a one-thread engine starts no thread.
@@ -166,6 +168,61 @@ class MultiHBfsSpec extends AnyFunSuite {
     } finally threaded.shutdown()
   }
 
+  /** Checks capped entries against the exact h-degrees: an entry ≥ 0 is
+    * exact, a complemented one lies in [cap, exact]. */
+  private def assertCapped(got: Seq[Int], exact: Seq[Int], cap: Int, clue: => String): Unit = {
+    assert(got.length == exact.length, clue)
+    for ((d, e) <- got.zip(exact))
+      if (d >= 0) assert(d == e, clue)
+      else assert(~d >= cap && ~d <= e, s"$clue: capped ${~d} not in [$cap, $e]")
+  }
+
+  test("property: a capped block's entries are exact or in [cap, exact], with no more visits") {
+    forAllSampled(genCase, cases = 20) { c =>
+      val ms = new MultiHBfs(c.g.n)
+      for (batch <- c.batches if batch.length <= 64) {
+        val (exact, exactVisits, exactBfs) = perVertex(c.g, c.alive, batch, c.h)
+        for (cap <- 1 to c.g.n + 1) {
+          val out = Array.fill(batch.length)(-1)
+          val b = Budget.unlimited()
+          ms.runCapped(c.g, c.alive, batch, 0, batch.length, c.h, cap, b, out)
+          assertCapped(out.toSeq, exact, cap, s"$c batch=${batch.length} cap=$cap")
+          assert(b.visits <= exactVisits && b.bfsCount == exactBfs, s"$c batch=${batch.length} cap=$cap")
+        }
+      }
+      // The scratchpad is clean after capped blocks.
+      for (batch <- c.batches if batch.length <= 64) {
+        val out = new Array[Int](batch.length)
+        ms.run(c.g, c.alive, batch, 0, batch.length, c.h, Budget.unlimited(), out)
+        assert(out.toSeq == perVertex(c.g, c.alive, batch, c.h)._1, s"$c batch=${batch.length}")
+      }
+    }
+  }
+
+  test("property: capped batches are exact or in [cap, exact], and equal on 1 and 4 threads") {
+    val threaded = new ThreadedEngine(120, threads = 4)
+    try {
+      forAllSampled(genCase, cases = 20) { c =>
+        val seq = new SequentialEngine(c.g.n)
+        val big = Array.tabulate(1000)(i => c.batches.last(i % 200))
+        for (batch <- c.batches :+ big) {
+          val (exact, exactVisits, exactBfs) = perVertex(c.g, c.alive, batch, c.h)
+          for (cap <- 1 to c.g.n + 1 by (if (batch.length > 64) 7 else 1)) {
+            val bs = Budget.unlimited()
+            val s = seq.batchHDegCapped(c.g, c.alive, batch, c.h, cap, bs)
+            val bt = Budget.unlimited()
+            val t = threaded.batchHDegCapped(c.g, c.alive, batch, c.h, cap, bt)
+            val clue = s"$c batch=${batch.length} cap=$cap"
+            assertCapped(s.toSeq, exact, cap, clue)
+            assert(s.toSeq == t.toSeq, clue)
+            assert((bs.visits, bs.bfsCount) == ((bt.visits, bt.bfsCount)), clue)
+            assert(bs.visits <= exactVisits && bs.bfsCount == exactBfs, clue)
+          }
+        }
+      }
+    } finally threaded.shutdown()
+  }
+
   test("MultiHBfs rejects an empty or wider-than-64 block") {
     val g = GraphGen.path(100)
     val ms = new MultiHBfs(g.n)
@@ -173,6 +230,8 @@ class MultiHBfsSpec extends AnyFunSuite {
     val alive = Array.fill(100)(true)
     intercept[IllegalArgumentException](ms.run(g, alive, all, 0, 0, 2, Budget.unlimited(), new Array[Int](100)))
     intercept[IllegalArgumentException](ms.run(g, alive, all, 0, 65, 2, Budget.unlimited(), new Array[Int](100)))
+    intercept[IllegalArgumentException](ms.runCapped(g, alive, all, 0, 0, 2, 3, Budget.unlimited(), new Array[Int](100)))
+    intercept[IllegalArgumentException](ms.runCapped(g, alive, all, 0, 65, 2, 3, Budget.unlimited(), new Array[Int](100)))
   }
 
   test("a visit budget raises BudgetExceeded from the 64-lane path, at most one block late") {
