@@ -164,9 +164,6 @@ object TableRunners {
     val variants = Seq(
       "no LB" -> Algo.HBZ, "LB1" -> Algo.HLB1, "LB2" -> Algo.HLB,
       "h-degree UB" -> Algo.HLBUBHDeg(None), "UB" -> Algo.HLBUB(None))
-    // JIT warm-up of every variant on a small analog, as in table6, so that
-    // the first timed rows do not pay for compiling the hot paths.
-    variants.foreach { case (_, algo) => KHCore.decompose(Datasets("coli"), 3, algo, paperLiteral = true) }
     val rows = for {
       name <- Datasets.table45Names
       h <- 2 to 4

@@ -63,8 +63,8 @@ package repro.core
   * current level: this is §4.3's lazy materialisation, carried from the
   * initial bounds to the re-measures. At level k, a flagged vertex may be
   * re-measured by an h-BFS that stops after `cap` h-neighbours, with
-  * `cap = k + 1 + max(4, ⌊k/4⌋)` ([[Caps.Lazy]]). If it stops, u keeps the
-  * count as `deg(u)`, is marked `capped`, and sits in bucket max(deg(u), k).
+  * `cap = k + 1 + max(4, ⌊k/4⌋)`. If it stops, u keeps the count as
+  * `deg(u)`, is marked `capped`, and sits in bucket max(deg(u), k).
   * Unlike a `setLB` vertex, it still takes the −cnt drops and the flags;
   * when a round pops it, it is measured exactly in that round's `setLB`
   * batch, before anything is peeled. Why the result stays exact:
@@ -132,68 +132,42 @@ object CoreDecomp {
     val listed = new Array[Boolean](n)
   }
 
-  /** The state of a peel that caps its re-measures by `caps`: `capped`
-    * marks the vertices whose `deg` is a capped count, a lower bound of
-    * their h-degree. */
-  private[core] final class CappedState(n: Int, val caps: Caps) extends State(n) {
-    val capped = new Array[Boolean](n)
-  }
-
-  /** Which flagged vertices are re-measured with a cap at level k, and the
-    * cap (see the object doc). */
-  private[core] sealed abstract class Caps {
-    def at(k: Int): Int
-    def eligible(deg: Int, capped: Boolean, cap: Int): Boolean
-  }
-
-  private[core] object Caps {
-    /** h-LB's rule: cap k + 1 + max(4, ⌊k/4⌋), for a vertex already capped
-      * or with `deg ≥ 2·cap`. */
-    case object Lazy extends Caps {
-      def at(k: Int): Int = k + 1 + math.max(4, k / 4)
-      def eligible(deg: Int, capped: Boolean, cap: Int): Boolean = capped || deg >= 2 * cap
-    }
-
-    /** Cap k + 1 for every flagged vertex, so that capped vertices are
-      * popped, and re-measured, as often as possible. */
-    private[core] case object Tight extends Caps {
-      def at(k: Int): Int = k + 1
-      def eligible(deg: Int, capped: Boolean, cap: Int): Boolean = true
-    }
-  }
+  /** The cap of a re-measure at level k (see the object doc). */
+  private def capAt(k: Int): Int = k + 1 + math.max(4, k / 4)
 
   /** h-BZ, h-LB and UpperBound: bucket every vertex at `init(v)` and peel
     * [0, n−1]. `init` is every vertex's h-degree (`lowerBound` false: h-BZ
     * with `remeasureBelow = h + 1`, UpperBound with 1) or a lower bound of
     * its core index, with `setLB` raised (`lowerBound`: h-LB, at LB2 or
-    * LB1, with `remeasureBelow = h`). `caps` caps h-LB's re-measures.
-    * Returns the state, whose `core` holds the core index (or UB) of every
-    * vertex.
+    * LB1, with `remeasureBelow = h`). h-LB caps its re-measures unless
+    * `paperLiteral`. Returns the state, whose `core` holds the core index
+    * (or UB) of every vertex.
     */
   private[core] def peelAll(g: AdjGraph, h: Int, init: Array[Int], lowerBound: Boolean,
                             remeasureBelow: Int, paperLiteral: Boolean,
-                            engine: HDegEngine, budget: Budget, caps: Option[Caps] = None): State = {
+                            engine: HDegEngine, budget: Budget): State = {
     val n = g.n
-    val st = caps match {
-      case Some(c) => new CappedState(n, c)
-      case None => new State(n)
-    }
+    val st = new State(n)
     java.util.Arrays.fill(st.alive, true)
     var v = 0
     while (v < n) { st.deg(v) = init(v); st.setLB(v) = lowerBound; st.buckets.add(v, init(v)); v += 1 }
-    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral, st, engine, budget)
+    val capped = if (lowerBound && !paperLiteral) new Array[Boolean](n) else null
+    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral, st, engine, budget, capped)
     st
   }
 
+  /** Peels the levels [kmin, kmax] of `st` (see the object doc). `capped`
+    * is given only by h-LB's [[peelAll]]: it then caps the re-measures and
+    * marks the vertices whose `deg` is a capped count, a lower bound of
+    * their h-degree; null re-measures exactly and allocates no flags.
+    */
   def run(g: AdjGraph, h: Int, kmin: Int, kmax: Int, remeasureBelow: Int,
-          paperLiteral: Boolean, st: State, engine: HDegEngine, budget: Budget): Unit = {
+          paperLiteral: Boolean, st: State, engine: HDegEngine, budget: Budget,
+          capped: Array[Boolean] = null): Unit = {
     val alive = st.alive
     val buckets = st.buckets
     val deg = st.deg
     val setLB = st.setLB
-    val capping = st match { case c: CappedState => c; case _ => null }
-    val caps = if (capping == null) null else capping.caps
-    val capped = if (capping == null) null else capping.capped
     val list = st.list
     val listed = st.listed
     val scratch = EngineScratch.get(g.n)
@@ -266,12 +240,12 @@ object CoreDecomp {
         // Re-measure the flagged vertices: list(np until nc) with a cap,
         // list(nc until nl) exactly.
         var nc = np
-        if (caps != null) {
-          val cap = caps.at(k)
+        if (capped != null) {
+          val cap = capAt(k)
           i = np
           while (i < nl) {
             val u = list(i)
-            if (caps.eligible(deg(u), capped(u), cap)) { list(i) = list(nc); list(nc) = u; nc += 1 }
+            if (capped(u) || deg(u) >= 2 * cap) { list(i) = list(nc); list(nc) = u; nc += 1 }
             i += 1
           }
           if (nc > np) {

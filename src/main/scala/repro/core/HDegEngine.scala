@@ -120,7 +120,9 @@ private[repro] object EngineKernels {
     * through per-vertex [[HBfs.run]]. Visits and BFS counts are the same
     * either way. With a `cap` (below `Int.MaxValue`), the blocks run
     * [[MultiHBfs.runCapped]] and the tail [[HBfs.run]] with the cap, and
-    * an entry stopped by the cap reads `~count`.
+    * an entry stopped by the cap reads `~count`. Exact blocks keep
+    * [[MultiHBfs.run]]: `runCapped` with no reachable cap gives the same
+    * entries and visits but is slower (see [[MultiHBfs]]).
     */
   def hDegRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget,

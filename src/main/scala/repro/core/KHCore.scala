@@ -27,9 +27,9 @@ object Algo {
   * the cost the later algorithms attack; h-LB buckets every vertex at its
   * LB2 (LB1 for the Table 5 ablation) with `setLB` raised, so an h-degree
   * is materialized only when the vertex's bucket is reached. Outside
-  * `paperLiteral`, h-LB also caps its re-measures
-  * ([[CoreDecomp.Caps.Lazy]]): a flagged vertex's h-BFS stops once it
-  * proves the vertex survives the level.
+  * `paperLiteral`, h-LB also caps its re-measures (see [[CoreDecomp]]): a
+  * flagged vertex's h-BFS stops once it proves the vertex survives the
+  * level.
   *
   * h-LB and h-LB+UB (its CoreDecomp and its UpperBound) peel each bucket
   * in level-synchronous rounds by default; `paperLiteral` selects Alg. 3
@@ -55,8 +55,7 @@ object KHCore {
           case Algo.HLB | Algo.HLB1 =>
             val l1 = Bounds.lb1(g, h, eng, budget)
             val lb = if (algo == Algo.HLB1) l1 else Bounds.lb2(g, h, l1, eng, budget)
-            CoreDecomp.peelAll(g, h, lb, lowerBound = true, remeasureBelow = h, paperLiteral, eng, budget,
-                               caps = if (paperLiteral) None else Some(CoreDecomp.Caps.Lazy))
+            CoreDecomp.peelAll(g, h, lb, lowerBound = true, remeasureBelow = h, paperLiteral, eng, budget)
           case Algo.HLBUB(s)     => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = false, paperLiteral)
           case Algo.HLBUBHDeg(s) => HLBUB.decompose(g, h, eng, budget, s, useHDegAsUB = true, paperLiteral)
         }

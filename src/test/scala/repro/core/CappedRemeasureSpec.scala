@@ -4,60 +4,70 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Datasets
 import repro.graphgen.GraphGen
 
-/** h-LB's capped re-measures ([[CoreDecomp.Caps]]): a flagged vertex's
+/** h-LB's capped re-measures (see [[CoreDecomp]]): a flagged vertex's
   * h-BFS may stop once it proves the vertex survives the level, and the
   * vertex is measured exactly when a round pops it. The cores must stay
-  * those of [[NaiveCore]] and pass [[Certify]] however small the caps are,
-  * and a capped run must not depend on the engine's thread count.
+  * those of [[NaiveCore]] and pass [[Certify]], every capped vertex must be
+  * measured exactly before the peel ends, and a capped run must not depend
+  * on the engine's thread count.
   */
 class CappedRemeasureSpec extends AnyFunSuite {
 
-  /** A one-thread engine that counts the capped entries it returns. */
+  /** A one-thread engine that counts the capped entries it returns, and the
+    * vertices measured exactly while their last entry was capped: these
+    * are capped vertices popped by a round, since a flagged capped vertex
+    * is always re-measured with a cap. `open` holds the vertices whose
+    * last entry was capped. */
   private final class CountingEngine extends LocalEngine(1) {
     var cappedEntries = 0L
+    var cappedPops = 0L
+    val open = scala.collection.mutable.Set.empty[Int]
     override def batchHDegCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                                  h: Int, cap: Int, budget: Budget): Array[Int] = {
       val out = super.batchHDegCapped(g, alive, vertices, h, cap, budget)
-      cappedEntries += out.count(_ < 0)
+      for ((v, d) <- vertices.zip(out)) if (d < 0) { cappedEntries += 1; open += v } else open -= v
       out
+    }
+    override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                           h: Int, budget: Budget): Array[Int] = {
+      for (v <- vertices) if (open.remove(v)) cappedPops += 1
+      super.batchHDeg(g, alive, vertices, h, budget)
     }
   }
 
-  /** 20 ER, 20 BA and 20 community graphs of 12 to 60 vertices. */
+  /** 20 ER, 20 BA and 20 community graphs of 60 to 130 vertices, sparse
+    * enough that a flagged hub's h-degree is often twice the cap above the
+    * level. */
   private val graphs: Seq[(String, AdjGraph)] =
     (0 until 20).flatMap { i =>
-      val n = 12 + (i * 7) % 49
-      Seq(s"er-$i" -> GraphGen.er(n, math.min(n * (2 + i % 4), n * (n - 1) / 2), 300 + i),
-          s"ba-$i" -> GraphGen.ba(n, 3 + i % 3, 1 + i % 3, 400 + i),
-          s"comm-$i" -> GraphGen.communities(2 + i % 3, 6 + i % 9, 0.3 + 0.03 * (i % 7), 0.04, 500 + i))
+      val n = 60 + (i * 13) % 71
+      Seq(s"er-$i" -> GraphGen.er(n, n * (3 + i % 4) / 2, 300 + i),
+          s"ba-$i" -> GraphGen.ba(n, 2 + i % 3, 1 + i % 2, 400 + i),
+          s"comm-$i" -> GraphGen.communities(3 + i % 3, 15 + i % 11, 0.12 + 0.02 * (i % 5), 0.01, 500 + i))
     }
 
-  test("h-LB with every flagged vertex capped at k + 1 equals NaiveCore and passes Certify (300 runs)") {
+  test("default h-LB equals NaiveCore, passes Certify and measures every capped vertex exactly (300 runs)") {
     val eng = new CountingEngine
     var runs = 0
     for ((name, g) <- graphs; h <- 1 to 5) {
-      val b = Budget.unlimited()
-      val lb = Bounds.lb2(g, h, Bounds.lb1(g, h, eng, b), eng, b)
-      val st = CoreDecomp.peelAll(g, h, lb, lowerBound = true, remeasureBelow = h, paperLiteral = false,
-                                  eng, b, caps = Some(CoreDecomp.Caps.Tight))
-      assert(st.core.toSeq == NaiveCore.decompose(g, h).toSeq, s"$name h=$h")
-      assert(st.assigned == g.n, s"$name h=$h")
-      Certify.check(g, h, st.core, st.order).foreach(f => fail(s"$name h=$h: $f"))
+      val r = KHCore.decompose(g, h, Algo.HLB, Some(eng))
+      assert(r.core.toSeq == NaiveCore.decompose(g, h).toSeq, s"$name h=$h")
+      Certify.check(g, h, r.core, r.order).foreach(f => fail(s"$name h=$h: $f"))
+      assert(eng.open.isEmpty, s"$name h=$h: capped vertices never measured exactly: ${eng.open}")
       runs += 1
     }
     assert(runs == 300)
     assert(eng.cappedEntries > 1000, s"only ${eng.cappedEntries} capped entries")
+    assert(eng.cappedPops > 200, s"only ${eng.cappedPops} capped vertices popped")
   }
 
-  test("default h-LB equals NaiveCore on the same graphs, and paper-literal h-LB caps nothing") {
+  test("paper-literal h-LB and h-LB+UB cap nothing") {
     val eng = new CountingEngine
     for ((name, g) <- graphs.take(30); h <- 2 to 4) {
       val naive = NaiveCore.decompose(g, h).toSeq
-      assert(KHCore.decompose(g, h, Algo.HLB, Some(eng)).core.toSeq == naive, s"$name h=$h")
-      val capped = eng.cappedEntries
       assert(KHCore.decompose(g, h, Algo.HLB, Some(eng), paperLiteral = true).core.toSeq == naive, s"$name h=$h")
       assert(KHCore.decompose(g, h, Algo.HLBUB(), Some(eng)).core.toSeq == naive, s"$name h=$h")
-      assert(eng.cappedEntries == capped, s"$name h=$h: paper-literal h-LB or h-LB+UB capped")
+      assert(eng.cappedEntries == 0, s"$name h=$h: paper-literal h-LB or h-LB+UB capped")
     }
   }
 
