@@ -7,8 +7,10 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Where the 64-lane h-BFS kernel ([[MultiHBfs]]) beats one [[HBfs.run]]
-  * per vertex. The engines send blocks of 8 or more vertices through the
-  * lanes; this suite makes that cutoff reproducible.
+  * per vertex, and where a peel round's discovery gains from the engine's
+  * pool. The engines send blocks of 8 or more vertices through the lanes,
+  * and `LocalEngine` discovers a round of 128 or more peeled vertices on
+  * its pool; this suite makes both cutoffs reproducible.
   *
   * On each of the three benchmark graphs it records recompute-shaped
   * batches: the radius-h batches of a sequential h-LB run, each with the
@@ -16,8 +18,17 @@ import scala.util.Random
   * batch-size class). It then times both kernels on the same batches and
   * prints the ratio per-vertex time ÷ 64-lane time per class, plus the
   * all-vertex radius-h batch of the full graph. A ratio above 1 means the
-  * lanes are faster. Only the agreement of the two kernels is asserted;
-  * the ratios depend on the machine.
+  * lanes are faster.
+  *
+  * The second test records the peel rounds of a sequential default h-LB+UB
+  * run in the same way (the peeled vertices and the alive mask of each
+  * round's discovery) and times, per round-size class, the discovery on the
+  * caller against `LocalEngine.discoverPooled` on 4 threads, forced at
+  * every size. Its sink reads every entry, as CoreDecomp's does. A ratio
+  * above 1 means the pool is faster.
+  *
+  * Only the agreement of the two sides is asserted; the ratios depend on
+  * the machine.
   */
 class KernelCrossoverBench extends AnyFunSuite {
 
@@ -28,36 +39,63 @@ class KernelCrossoverBench extends AnyFunSuite {
     if (c._2 == Int.MaxValue) s">= ${c._1}" else s"${c._1}-${c._2}"
 
   /** One recorded batch: the vertices and the alive mask at the time. */
-  private final case class Batch(alive: Array[Boolean], vertices: Array[Int])
+  private final class Batch(val alive: Array[Boolean], val vertices: Array[Int])
 
-  /** Sequential engine that keeps a seeded reservoir sample of the
-    * radius-`h` batches (per size class) it is asked for. */
-  private final class Recorder(n: Int, h: Int) extends HDegEngine {
-    private val inner = new SequentialEngine(n)
+  /** A seeded reservoir sample of up to `perClass` batches per size class. */
+  private final class Reservoir(classes: Seq[(Int, Int)]) {
     private val rnd = new Random(42)
     val sample: Map[(Int, Int), mutable.ArrayBuffer[Batch]] =
       classes.map(_ -> mutable.ArrayBuffer.empty[Batch]).toMap
     private val seenPerClass = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
 
-    override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                           r: Int, budget: Budget): Array[Int] = {
-      if (r == h && vertices.length < n) {
-        val c = classes.find { case (lo, hi) => vertices.length >= lo && vertices.length <= hi }.get
+    def offer(alive: Array[Boolean], vertices: Array[Int], len: Int): Unit =
+      classes.find { case (lo, hi) => len >= lo && len <= hi }.foreach { c =>
         val seen = seenPerClass(c) + 1
         seenPerClass(c) = seen
         val buf = sample(c)
-        if (buf.length < perClass) buf += Batch(alive.clone(), vertices.clone())
+        def batch = new Batch(alive.clone(), java.util.Arrays.copyOf(vertices, len))
+        if (buf.length < perClass) buf += batch
         else {
           val slot = (rnd.nextDouble() * seen).toLong
-          if (slot < perClass) buf(slot.toInt) = Batch(alive.clone(), vertices.clone())
+          if (slot < perClass) buf(slot.toInt) = batch
         }
       }
+  }
+
+  /** Sequential engine that samples the radius-`h` batches and the round
+    * discoveries it is asked for. */
+  private final class Recorder(n: Int, h: Int) extends HDegEngine {
+    private val inner = new SequentialEngine(n)
+    val batches = new Reservoir(classes)
+    val rounds = new Reservoir(roundClasses)
+
+    override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                           r: Int, budget: Budget): Array[Int] = {
+      if (r == h && vertices.length < n) batches.offer(alive, vertices, vertices.length)
       inner.batchHDeg(g, alive, vertices, r, budget)
     }
 
-    override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                             r: Int, value: Array[Int], budget: Budget): Array[Int] =
-      inner.batchNbrMax(g, alive, vertices, r, value, budget)
+    override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
+                               r: Int, budget: Budget, sink: DiscoverySink): Unit = {
+      rounds.offer(alive, sources, np)
+      super.discoverRound(g, alive, sources, np, r, budget, sink)
+    }
+  }
+
+  /** Round-size classes of the discovery test: one 64-lane block or less,
+    * one block and a tail, then 2, 4 and 8 or more blocks. */
+  private val roundClasses = Seq((8, 64), (65, 127), (128, 255), (256, 511), (512, Int.MaxValue))
+
+  /** A sink that reads every entry into an order-dependent hash. */
+  private final class HashSink extends DiscoverySink {
+    var hash = 0L
+    def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], m: Int): Unit = {
+      var j = 0
+      while (j < m) {
+        hash = hash * 31 + found(j) * 7L + dist(j) * 3L + (if (lanes == null) 1 else lanes(j))
+        j += 1
+      }
+    }
   }
 
   /** h-degrees of every batch, concatenated into `out`: one HBfs.run each. */
@@ -114,8 +152,8 @@ class KernelCrossoverBench extends AnyFunSuite {
       KHCore.decompose(g, h, Algo.HLB, Some(rec))
       val bfs = new HBfs(g.n)
       val ms = new MultiHBfs(g.n)
-      val all = Seq(Batch(Array.fill(g.n)(true), Array.range(0, g.n)))
-      val groups = classes.map(c => (classLabel(c), h, rec.sample(c).toSeq)) ++
+      val all = Seq(new Batch(Array.fill(g.n)(true), Array.range(0, g.n)))
+      val groups = classes.map(c => (classLabel(c), h, rec.batches.sample(c).toSeq)) ++
         Seq((s"all vertices, r=$h", h, all), (s"all vertices, r=${h / 2}", h / 2, all))
       for ((label, r, batches) <- groups if batches.nonEmpty) {
         val verts = batches.map(_.vertices.length).sum
@@ -130,6 +168,41 @@ class KernelCrossoverBench extends AnyFunSuite {
     }
     Tables.emit("kernel-crossover", "h-degree kernels: per-vertex time / 64-lane time",
                 Seq("graph", "batch size", "batches", "vertices", "per-vertex ms", "64-lane ms", "ratio"),
+                rows.toSeq)
+  }
+
+  test("pooled round discovery against the caller on the three benchmark graphs") {
+    val graphs = Seq(
+      ("comm-dense-h3", 3, Datasets("caAs")),
+      ("hub-ba-h3", 3, Datasets("hyves")),
+      ("road-grid-h4", 4, GraphGen.gridRoad(400, 400, 0.75, 10L)))
+    val seq = new SequentialEngine(0)
+    val pool = new LocalEngine(4)
+    val rows = mutable.ArrayBuffer.empty[Seq[String]]
+    try {
+      for ((name, h, g) <- graphs) {
+        val rec = new Recorder(g.n, h)
+        KHCore.decompose(g, h, Algo.HLBUB(), Some(rec))
+        for (c <- roundClasses; rounds = rec.rounds.sample(c).toSeq if rounds.nonEmpty) {
+          def run(pooled: Boolean): Long = {
+            val sink = new HashSink
+            for (b <- rounds) {
+              val np = b.vertices.length
+              if (pooled) pool.discoverPooled(g, b.alive, b.vertices, np, h, Budget.unlimited(), sink)
+              else seq.discoverRound(g, b.alive, b.vertices, np, h, Budget.unlimited(), sink)
+              sink.hash = sink.hash * 17 + np
+            }
+            sink.hash
+          }
+          assert(run(false) == run(true), s"$name ${classLabel(c)}")
+          val (tc, tp) = timePair(() => run(false), () => run(true))
+          rows += Seq(name, classLabel(c), rounds.length.toString, rounds.map(_.vertices.length).sum.toString,
+                      f"${tc * 1e3}%.3f", f"${tp * 1e3}%.3f", f"${tc / tp}%.2f")
+        }
+      }
+    } finally pool.shutdown()
+    Tables.emit("discovery-crossover", "round discovery: caller time / pooled time (4 threads)",
+                Seq("graph", "round size", "rounds", "vertices", "caller ms", "pooled ms", "ratio"),
                 rows.toSeq)
   }
 }

@@ -10,6 +10,8 @@ import org.scalatest.funsuite.AnyFunSuite
   *    rnPA LB1 3.00s vs LB2 3.18s at h=2) — we only require LB variants
   *    to stay close there;
   *  - the UB variant beats the h-degree variant on the harder instances.
+  * Each finished cell is the median of 3 runs (see `TableRunners.table5`),
+  * since one run spreads by about ±15% on a shared host.
   */
 class Table5Bench extends AnyFunSuite {
 

@@ -171,13 +171,17 @@ object TableRunners {
       val g = Datasets(name)
       val times = variants.map { case (vName, algo) =>
         // Alg. 3 as written, as in Table 3.
-        val res = budgeted(budgetMs)(b => KHCore.decompose(g, h, algo, None, b, paperLiteral = true))
-        vName -> res.toOption.map(_.millis)
+        def once(): Option[Long] =
+          budgeted(budgetMs)(b => KHCore.decompose(g, h, algo, None, b, paperLiteral = true)).toOption.map(_.millis)
+        // A finished cell is the median of 3 runs: Table5Bench compares
+        // cells by their ratio, and one run of a cell spreads by ±15%.
+        val ts = once().fold(Seq.empty[Long])(t => (Seq(t) ++ once() ++ once()).sorted)
+        vName -> ts.lift(ts.length / 2)
       }.toMap
       T5Row(name, h, times)
     }
     Tables.emit("table5",
-      s"Table 5: effect of bounds on runtime (s); NT = exceeded ${budgetMs / 1000}s budget",
+      s"Table 5: effect of bounds on runtime (s), median of 3 runs; NT = exceeded ${budgetMs / 1000}s budget",
       Seq("dataset", "h") ++ variants.map(_._1),
       rows.map(r => Seq(r.name, r.h.toString) ++
         variants.map { case (vn, _) => r.times(vn).map(Tables.fmtSecs).getOrElse("NT") }))

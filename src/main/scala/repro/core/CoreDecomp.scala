@@ -24,13 +24,21 @@ package repro.core
   *      may parallelize (§4.6);
   *    - otherwise: u's h-degree drops by cnt(u) right away, with one
   *      bucket move.
-  *    A round of at least 8 vertices discovers in blocks of up to 64
-  *    sources through the 64-lane kernel ([[MultiHBfs.discover]]), as the
-  *    engines measure (a tail under 8, and every one-vertex round, through
-  *    per-vertex [[HBfs.run]]); visits and BFS counts are those of one
-  *    h-BFS per f either way. Both run on the calling thread's
-  *    [[EngineScratch]], and no engine call falls between a discovery and
-  *    the reading of its output.
+  *    The engine runs the discovery ([[HDegEngine.discoverRound]]): a
+  *    round of at least 8 vertices in blocks of up to 64 sources through
+  *    the 64-lane kernel ([[MultiHBfs.discover]]), as the engines measure
+  *    (a tail under 8, and every one-vertex round, through per-vertex
+  *    [[HBfs.run]]); visits and BFS counts are those of one h-BFS per f
+  *    either way. The state is the round's sink: it applies `reach` to the
+  *    output on the calling thread, block by block, in block order. A
+  *    block's output depends only on the graph, the alive mask and its
+  *    sources, and `reach` writes none of them (it appends to `list` past
+  *    P), so the blocks may run anywhere and at once: a threaded engine
+  *    runs a large round's blocks on its pool and hands their copied output
+  *    to the sink in block order, and the sink sees the same entries in the
+  *    same order as on one thread.
+  *    So `deg`, the buckets, the flagged list and with them core, `order`,
+  *    visits and BFS count are the same on every thread count.
   *
   * The four callers differ only in `remeasureBelow`, the levels peeled and
   * whether h-LB's re-measures are capped:
@@ -118,9 +126,10 @@ object CoreDecomp {
     *
     * `list` and `listed` are a vertex list and its membership marks, empty
     * between rounds: a round's P followed by the vertices it flags for
-    * re-measure (the two are disjoint).
+    * re-measure (the two are disjoint). The state is the sink of its
+    * rounds' discovery ([[reached]]).
     */
-  class State(n: Int) {
+  class State(n: Int) extends DiscoverySink {
     val alive = new Array[Boolean](n)
     val buckets = new Buckets(n, math.max(0, n - 1))
     val deg = new Array[Int](n)
@@ -130,6 +139,35 @@ object CoreDecomp {
     var assigned = 0
     val list = new Array[Int](n)
     val listed = new Array[Boolean](n)
+    // The round being discovered: its level, the caller's `remeasureBelow`
+    // and the end of `list`.
+    private[CoreDecomp] var level = 0
+    private[CoreDecomp] var remeasureBelow = 0
+    private[CoreDecomp] var listEnd = 0
+
+    /** The round's discovery output: each reached vertex, in order, flagged
+      * (appended to `list`) or dropped by its count (see the object doc). */
+    final def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], m: Int): Unit = {
+      var nl = listEnd
+      var j = 0
+      if (lanes == null) while (j < m) { nl = reach(found(j), dist(j), 1, nl); j += 1 }
+      else while (j < m) { nl = reach(found(j), dist(j), lanes(j), nl); j += 1 }
+      listEnd = nl
+    }
+
+    /** Discovery reached `u` at distance `d` from `cnt` peeled vertices:
+      * flags u (appended at `list(nl)`) or drops its h-degree by `cnt`.
+      * Returns the new end of the list. Skips peeled, flagged and
+      * lower-bounded vertices.
+      */
+    private def reach(u: Int, d: Int, cnt: Int, nl: Int): Int =
+      if (setLB(u) || listed(u)) nl
+      else if (d < remeasureBelow) { list(nl) = u; listed(u) = true; nl + 1 }
+      else {
+        deg(u) -= cnt
+        buckets.move(u, math.max(deg(u), level))
+        nl
+      }
   }
 
   /** The cap of a re-measure at level k (see the object doc). */
@@ -170,9 +208,7 @@ object CoreDecomp {
     val setLB = st.setLB
     val list = st.list
     val listed = st.listed
-    val scratch = EngineScratch.get(g.n)
-    val bfs = scratch.bfs
-    val multi = scratch.multi
+    st.remeasureBelow = remeasureBelow
     val roundMax = if (paperLiteral) 1 else Int.MaxValue
     var k = math.max(0, kmin - 1)
     while (k <= kmax) {
@@ -217,24 +253,10 @@ object CoreDecomp {
           i += 1
         }
         // Discovery, with P alive; flagged vertices go to list(np until nl).
-        var nl = np
-        i = 0
-        while (np - i >= EngineKernels.MinLanes) {
-          val lanes = math.min(MultiHBfs.Lanes, np - i)
-          val m = multi.discover(g, alive, list, i, lanes, h, budget)
-          var j = 0
-          while (j < m) {
-            nl = reach(st, multi.found(j), multi.foundRound(j), multi.foundLanes(j), k, remeasureBelow, nl)
-            j += 1
-          }
-          i += lanes
-        }
-        while (i < np) {
-          val m = bfs.run(g, alive, list(i), h, budget)
-          var j = 0
-          while (j < m) { nl = reach(st, bfs.nbrs(j), bfs.nbrDist(j), 1, k, remeasureBelow, nl); j += 1 }
-          i += 1
-        }
+        st.level = k
+        st.listEnd = np
+        engine.discoverRound(g, alive, list, np, h, budget, st)
+        val nl = st.listEnd
         i = 0
         while (i < np) { alive(list(i)) = false; i += 1 }
         // Re-measure the flagged vertices: list(np until nc) with a cap,
@@ -279,18 +301,4 @@ object CoreDecomp {
       }
     }
   }
-
-  /** Discovery reached `u` at distance `d` from `cnt` peeled vertices, at
-    * level `k`: flags u (appended at `list(nl)`) or drops its h-degree by
-    * `cnt`. Returns the new end of the list. Skips peeled, flagged and
-    * lower-bounded vertices.
-    */
-  private def reach(st: State, u: Int, d: Int, cnt: Int, k: Int, remeasureBelow: Int, nl: Int): Int =
-    if (st.setLB(u) || st.listed(u)) nl
-    else if (d < remeasureBelow) { st.list(nl) = u; st.listed(u) = true; nl + 1 }
-    else {
-      st.deg(u) -= cnt
-      st.buckets.move(u, math.max(st.deg(u), k))
-      nl
-    }
 }

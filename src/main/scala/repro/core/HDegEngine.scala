@@ -75,8 +75,55 @@ trait HDegEngine {
     out
   }
 
+  /** Round discovery of [[CoreDecomp]]: one h-BFS from each of the `np`
+    * sources `sources(0 until np)` (a round's peeled vertices, all still
+    * alive), in blocks of up to 64 sources through [[MultiHBfs.discover]]
+    * and a tail under 8 through per-vertex [[HBfs.run]]
+    * ([[EngineKernels.discoverRange]]). Each block's output goes to `sink`,
+    * in block order and always on the calling thread, so the sink sees the
+    * same calls on every engine. This default runs every block on the
+    * caller, on its [[EngineScratch]], and allocates nothing.
+    */
+  def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
+                    h: Int, budget: Budget, sink: DiscoverySink): Unit =
+    EngineKernels.discoverRange(g, alive, sources, 0, np, h, budget, EngineScratch.get(g.n), sink)
+
   /** Release any pooled resources (thread pools). */
   def shutdown(): Unit = ()
+}
+
+/** Receives a round discovery's output ([[HDegEngine.discoverRound]]), in
+  * the order of the round's blocks: for j < m, `found(j)` was reached at
+  * distance `dist(j)` from the nearest of `lanes(j)` sources of its block
+  * (one each when `lanes` is null). The arrays are the kernel's and are
+  * reused after the call returns.
+  */
+trait DiscoverySink {
+  def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], m: Int): Unit
+}
+
+/** A pool worker's copy of its share of a round's discovery output, in
+  * block order, for the caller to hand to the round's sink.
+  */
+private final class FoundLog extends DiscoverySink {
+  var found = new Array[Int](1024)
+  var dist = new Array[Int](1024)
+  var lanes = new Array[Int](1024)
+  var size = 0
+
+  def reached(f: Array[Int], d: Array[Int], l: Array[Int], m: Int): Unit = {
+    if (size + m > found.length) {
+      val cap = math.max(2 * found.length, size + m)
+      found = java.util.Arrays.copyOf(found, cap)
+      dist = java.util.Arrays.copyOf(dist, cap)
+      lanes = java.util.Arrays.copyOf(lanes, cap)
+    }
+    System.arraycopy(f, 0, found, size, m)
+    System.arraycopy(d, 0, dist, size, m)
+    if (l == null) java.util.Arrays.fill(lanes, size, size + m, 1)
+    else System.arraycopy(l, 0, lanes, size, m)
+    size += m
+  }
 }
 
 /** One thread's h-BFS scratch: one per-vertex and one 64-lane h-BFS, and
@@ -140,6 +187,27 @@ private[repro] object EngineKernels {
       i += 1
     }
   }
+
+  /** The one round discovery loop: the sources `sources(from until until)`
+    * in blocks by [[MinLanes]], as [[hDegRange]] cuts them, each block's
+    * output handed to `sink` before the next block runs. With `from` a
+    * multiple of 64, a range's blocks are those of the whole round.
+    */
+  def discoverRange(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], from: Int, until: Int,
+                    h: Int, budget: Budget, s: EngineScratch, sink: DiscoverySink): Unit = {
+    var i = from
+    while (until - i >= MinLanes) {
+      val lanes = math.min(MultiHBfs.Lanes, until - i)
+      val m = s.multi.discover(g, alive, sources, i, lanes, h, budget)
+      sink.reached(s.multi.found, s.multi.foundRound, s.multi.foundLanes, m)
+      i += lanes
+    }
+    while (i < until) {
+      val m = s.bfs.run(g, alive, sources(i), h, budget)
+      sink.reached(s.bfs.nbrs, s.bfs.nbrDist, null, m)
+      i += 1
+    }
+  }
 }
 
 /** The local engine: every h-degree batch is independent h-BFS (§4.6) run
@@ -150,8 +218,12 @@ private[repro] object EngineKernels {
   * that every chunk but the last fills whole 64-lane blocks, and run on a
   * fixed pool; a single-chunk batch still runs on the caller. Capped
   * batches are chunked the same way, so their 64-lane blocks are those of
-  * a run on the caller. A worker's failure, e.g. [[BudgetExceeded]], is
-  * rethrown as itself. LB2 batches are the trait's max pass, on the caller.
+  * a run on the caller. A round discovery of at least
+  * [[LocalEngine.MinPooledRound]] peeled vertices runs on the pool as well
+  * ([[discoverPooled]]); a smaller one, or any when `threads` is 1, is the
+  * trait's loop on the caller. A worker's failure, e.g. [[BudgetExceeded]],
+  * is rethrown as itself. LB2 batches are the trait's max pass, on the
+  * caller.
   */
 class LocalEngine private[repro] (threads: Int) extends HDegEngine {
   require(threads >= 1, s"threads = $threads")
@@ -187,10 +259,63 @@ class LocalEngine private[repro] (threads: Int) extends HDegEngine {
     out
   }
 
+  override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
+                             h: Int, budget: Budget, sink: DiscoverySink): Unit =
+    if (pool == null || np < LocalEngine.MinPooledRound) super.discoverRound(g, alive, sources, np, h, budget, sink)
+    else discoverPooled(g, alive, sources, np, h, budget, sink)
+
+  /** [[discoverRound]] on the pool, whatever the round's size: the round's
+    * 64-vertex blocks are cut into up to `threads` contiguous shares. The
+    * caller runs the first share into `sink` while the pool runs the others,
+    * each into its own [[FoundLog]]; the caller then hands the logs to
+    * `sink` in share order. So `sink` gets the same entries in the same
+    * order as from a run on the caller. The round ends only after every
+    * share has ended, and a worker's failure is rethrown as itself.
+    */
+  private[repro] def discoverPooled(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
+                                    h: Int, budget: Budget, sink: DiscoverySink): Unit = {
+    val blocks = (np + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes
+    val shares = math.max(1, math.min(threads, blocks))
+    // Share s is sources(start(s) until start(s + 1)).
+    def start(s: Int): Int = math.min(np, s * blocks / shares * MultiHBfs.Lanes)
+    val logs = (1 until shares).map { s =>
+      pool.submit((() => {
+        val log = new FoundLog
+        EngineKernels.discoverRange(g, alive, sources, start(s), start(s + 1), h, budget,
+                                    EngineScratch.get(g.n), log)
+        log
+      }): Callable[FoundLog])
+    }
+    try {
+      EngineKernels.discoverRange(g, alive, sources, 0, start(1), h, budget, EngineScratch.get(g.n), sink)
+      logs.foreach { f =>
+        val log = try f.get() catch { case e: ExecutionException => throw e.getCause }
+        sink.reached(log.found, log.dist, log.lanes, log.size)
+      }
+    } finally logs.foreach(f => try f.get() catch { case _: ExecutionException => () })
+  }
+
   override def shutdown(): Unit = if (pool != null) {
     pool.shutdown()
     pool.awaitTermination(10, TimeUnit.SECONDS)
   }
+}
+
+private[repro] object LocalEngine {
+  /** Smallest round whose discovery runs on the pool: two full 64-lane
+    * blocks. A smaller round is one block, or one block and a tail for a
+    * worker, and the caller still applies every entry. `KernelCrossoverBench`
+    * times recorded h-LB+UB rounds on the caller and on a 4-thread pool;
+    * caller ÷ pooled time over two runs on a 4-core host:
+    *  - 65–127 vertices: 1.25–1.27 comm, 1.09–1.24 hub, 0.82–1.06 road;
+    *  - 128–255: 1.94–2.15 comm, 1.43–1.81 hub, 0.82–1.11 road;
+    *  - 256–511: 2.33–2.34 comm, 1.07–1.15 road (no hub round);
+    *  - 512 and more: 2.66–2.96 comm, 2.15–2.65 hub, 2.22–2.37 road.
+    * Road rounds of 128–511 vertices take about 0.1–0.3 ms, near the cost of
+    * waking the pool, yet a cutoff of 512 ran perfbench's `road-grid-h4`
+    * `hlbub_mt_s` 8% slower than 128 (median of 6 alternating pairs).
+    */
+  final val MinPooledRound = 2 * MultiHBfs.Lanes
 }
 
 /** Single-threaded engine (the sequential versions of the algorithms): no

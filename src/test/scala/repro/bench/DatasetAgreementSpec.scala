@@ -9,7 +9,8 @@ import repro.core._
   *
   * Every h-LB and h-LB+UB result, sequential and threaded, level-synchronous
   * and paper-literal, must pass [[Certify]] on all 13 analogs at h = 2, 3
-  * (lj only at h = 2: h=3 takes 1.7·10⁹ visits). h-LB's certified array is
+  * (lj only at h = 2: h=3 takes 1.7·10⁹ visits), with the same core, order,
+  * visits and BFS count on 1 and 4 threads. h-LB's certified array is
   * the reference: every other h-LB+UB variant and h-BZ must return exactly
   * it, and it must lie between LB2 and UB.
   */
@@ -31,13 +32,15 @@ class DatasetAgreementSpec extends AnyFunSuite {
       val g = Datasets(e.name)
       val eng = new ThreadedEngine(g.n, threads = 4)
       try {
-        for (algo <- Seq[Algo](Algo.HLB, Algo.HLBUB(None)); threaded <- Seq(false, true);
-             paperLiteral <- Seq(false, true)) {
-          val r = KHCore.decompose(g, h, algo, if (threaded) Some(eng) else None,
-                                   paperLiteral = paperLiteral)
-          Certify.check(g, h, r.core, r.order).foreach { f =>
-            fail(s"${e.name}: $algo threaded=$threaded paperLiteral=$paperLiteral: $f")
-          }
+        for (algo <- Seq[Algo](Algo.HLB, Algo.HLBUB(None)); paperLiteral <- Seq(false, true)) {
+          val label = s"${e.name}: $algo paperLiteral=$paperLiteral"
+          val runs = Seq(None, Some(eng)).map(KHCore.decompose(g, h, algo, _, paperLiteral = paperLiteral))
+          for ((r, threaded) <- runs.zip(Seq(false, true)))
+            Certify.check(g, h, r.core, r.order).foreach(f => fail(s"$label threaded=$threaded: $f"))
+          val Seq(seq, mt) = runs
+          assert(seq.core.toSeq == mt.core.toSeq, s"$label: core")
+          assert(seq.order.toSeq == mt.order.toSeq, s"$label: order")
+          assert((seq.visits, seq.bfsCount) == ((mt.visits, mt.bfsCount)), s"$label: visits, BFS")
         }
       } finally eng.shutdown()
     }

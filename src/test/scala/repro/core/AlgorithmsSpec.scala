@@ -106,6 +106,12 @@ class AlgorithmsSpec extends AnyFunSuite {
         for (algo <- Seq[Algo](Algo.HBZ, Algo.HLB, Algo.HLBUB(None))) {
           val par = KHCore.decompose(g, h, algo, engine = Some(eng))
           assert(par.core.toSeq == seq.core.toSeq, s"seed=$seed h=$h algo=$algo")
+          if (algo != Algo.HBZ) {
+            val one = if (algo == Algo.HLB) KHCore.decompose(g, h, algo) else seq
+            assert(par.order.toSeq == one.order.toSeq, s"seed=$seed h=$h algo=$algo: order")
+            assert((par.visits, par.bfsCount) == ((one.visits, one.bfsCount)),
+                   s"seed=$seed h=$h algo=$algo: visits, BFS")
+          }
         }
       }
     } finally eng.shutdown()
