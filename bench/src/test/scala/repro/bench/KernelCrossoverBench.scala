@@ -7,10 +7,10 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Where the 64-lane h-BFS kernel ([[MultiHBfs]]) beats one [[HBfs.run]]
-  * per vertex, and where a peel round's discovery gains from the engine's
-  * pool. The engines send blocks of 8 or more vertices through the lanes,
-  * and `LocalEngine` discovers a round of 128 or more peeled vertices on
-  * its pool; this suite makes both cutoffs reproducible.
+  * per vertex, and where `LocalEngine`'s pool dispatch gains over the
+  * caller. The engines send blocks of 8 or more vertices through the lanes,
+  * and `LocalEngine` runs an h-degree batch or a round discovery of 128 or
+  * more vertices on its pool; this suite makes both cutoffs reproducible.
   *
   * On each of the three benchmark graphs it records recompute-shaped
   * batches: the radius-h batches of a sequential h-LB run, each with the
@@ -20,12 +20,13 @@ import scala.util.Random
   * all-vertex radius-h batch of the full graph. A ratio above 1 means the
   * lanes are faster.
   *
-  * The second test records the peel rounds of a sequential default h-LB+UB
-  * run in the same way (the peeled vertices and the alive mask of each
-  * round's discovery) and times, per round-size class, the discovery on the
-  * caller against `LocalEngine.discoverPooled` on 4 threads, forced at
-  * every size. Its sink reads every entry, as CoreDecomp's does. A ratio
-  * above 1 means the pool is faster.
+  * The second test records a sequential default h-LB+UB run in the same
+  * way, both of the kinds of work the pool serves: its radius-h h-degree
+  * batches, and its peel rounds (the peeled vertices and the alive mask of
+  * each round's discovery). Per kind and size class it times the work on
+  * the caller against `LocalEngine.onPool` on 4 threads, forced at every
+  * size. The discovery sink reads every entry, as CoreDecomp's does. A
+  * ratio above 1 means the pool is faster.
   *
   * Only the agreement of the two sides is asserted; the ratios depend on
   * the machine.
@@ -67,11 +68,13 @@ class KernelCrossoverBench extends AnyFunSuite {
   private final class Recorder(n: Int, h: Int) extends HDegEngine {
     private val inner = new SequentialEngine(n)
     val batches = new Reservoir(classes)
-    val rounds = new Reservoir(roundClasses)
+    val pooledBatches = new Reservoir(poolClasses)
+    val rounds = new Reservoir(poolClasses)
 
     override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                            r: Int, budget: Budget): Array[Int] = {
       if (r == h && vertices.length < n) batches.offer(alive, vertices, vertices.length)
+      if (r == h) pooledBatches.offer(alive, vertices, vertices.length)
       inner.batchHDeg(g, alive, vertices, r, budget)
     }
 
@@ -82,16 +85,16 @@ class KernelCrossoverBench extends AnyFunSuite {
     }
   }
 
-  /** Round-size classes of the discovery test: one 64-lane block or less,
-    * one block and a tail, then 2, 4 and 8 or more blocks. */
-  private val roundClasses = Seq((8, 64), (65, 127), (128, 255), (256, 511), (512, Int.MaxValue))
+  /** Size classes of the pool test: one 64-lane block or less, one block
+    * and a tail, then 2, 4 and 8 or more blocks. */
+  private val poolClasses = Seq((8, 64), (65, 127), (128, 255), (256, 511), (512, Int.MaxValue))
 
   /** A sink that reads every entry into an order-dependent hash. */
   private final class HashSink extends DiscoverySink {
     var hash = 0L
-    def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], m: Int): Unit = {
-      var j = 0
-      while (j < m) {
+    def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit = {
+      var j = from
+      while (j < until) {
         hash = hash * 31 + found(j) * 7L + dist(j) * 3L + (if (lanes == null) 1 else lanes(j))
         j += 1
       }
@@ -171,7 +174,7 @@ class KernelCrossoverBench extends AnyFunSuite {
                 rows.toSeq)
   }
 
-  test("pooled round discovery against the caller on the three benchmark graphs") {
+  test("pooled h-degree batches and round discovery against the caller on the three benchmark graphs") {
     val graphs = Seq(
       ("comm-dense-h3", 3, Datasets("caAs")),
       ("hub-ba-h3", 3, Datasets("hyves")),
@@ -183,26 +186,50 @@ class KernelCrossoverBench extends AnyFunSuite {
       for ((name, h, g) <- graphs) {
         val rec = new Recorder(g.n, h)
         KHCore.decompose(g, h, Algo.HLBUB(), Some(rec))
-        for (c <- roundClasses; rounds = rec.rounds.sample(c).toSeq if rounds.nonEmpty) {
-          def run(pooled: Boolean): Long = {
-            val sink = new HashSink
-            for (b <- rounds) {
-              val np = b.vertices.length
-              if (pooled) pool.discoverPooled(g, b.alive, b.vertices, np, h, Budget.unlimited(), sink)
-              else seq.discoverRound(g, b.alive, b.vertices, np, h, Budget.unlimited(), sink)
-              sink.hash = sink.hash * 17 + np
-            }
-            sink.hash
+        // Each run returns an order-dependent hash of everything it computed.
+        def batches(sample: Seq[Batch])(pooled: Boolean): Long = {
+          var hash = 0L
+          for (b <- sample) {
+            val len = b.vertices.length
+            val out =
+              if (!pooled) seq.batchHDeg(g, b.alive, b.vertices, h, Budget.unlimited())
+              else {
+                val out = new Array[Int](len)
+                pool.onPool(len, null) { (from, until, _) =>
+                  EngineKernels.hDegRange(g, b.alive, b.vertices, h, Budget.unlimited(), EngineScratch.get(g.n),
+                                          out, from, until)
+                }
+                out
+              }
+            hash = hash * 31 + java.util.Arrays.hashCode(out)
           }
-          assert(run(false) == run(true), s"$name ${classLabel(c)}")
-          val (tc, tp) = timePair(() => run(false), () => run(true))
-          rows += Seq(name, classLabel(c), rounds.length.toString, rounds.map(_.vertices.length).sum.toString,
+          hash
+        }
+        def rounds(sample: Seq[Batch])(pooled: Boolean): Long = {
+          val sink = new HashSink
+          for (b <- sample) {
+            val np = b.vertices.length
+            if (!pooled) seq.discoverRound(g, b.alive, b.vertices, np, h, Budget.unlimited(), sink)
+            else pool.onPool(np, sink) { (from, until, to) =>
+              EngineKernels.discoverRange(g, b.alive, b.vertices, from, until, h, Budget.unlimited(),
+                                          EngineScratch.get(g.n), to)
+            }
+            sink.hash = sink.hash * 17 + np
+          }
+          sink.hash
+        }
+        for ((kind, recorded, run) <- Seq[(String, Reservoir, Seq[Batch] => Boolean => Long)](
+               ("h-degree", rec.pooledBatches, batches), ("discovery", rec.rounds, rounds));
+             c <- poolClasses; sample = recorded.sample(c).toSeq if sample.nonEmpty) {
+          assert(run(sample)(false) == run(sample)(true), s"$name $kind ${classLabel(c)}")
+          val (tc, tp) = timePair(() => run(sample)(false), () => run(sample)(true))
+          rows += Seq(name, kind, classLabel(c), sample.length.toString, sample.map(_.vertices.length).sum.toString,
                       f"${tc * 1e3}%.3f", f"${tp * 1e3}%.3f", f"${tc / tp}%.2f")
         }
       }
     } finally pool.shutdown()
-    Tables.emit("discovery-crossover", "round discovery: caller time / pooled time (4 threads)",
-                Seq("graph", "round size", "rounds", "vertices", "caller ms", "pooled ms", "ratio"),
+    Tables.emit("pool-crossover", "h-degree batches and round discovery: caller time / pooled time (4 threads)",
+                Seq("graph", "kind", "size", "count", "vertices", "caller ms", "pooled ms", "ratio"),
                 rows.toSeq)
   }
 }

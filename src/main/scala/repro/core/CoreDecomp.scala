@@ -34,8 +34,9 @@ package repro.core
   *    block's output depends only on the graph, the alive mask and its
   *    sources, and `reach` writes none of them (it appends to `list` past
   *    P), so the blocks may run anywhere and at once: a threaded engine
-  *    runs a large round's blocks on its pool and hands their copied output
-  *    to the sink in block order, and the sink sees the same entries in the
+  *    runs a round of two or more blocks through its one pool dispatch
+  *    ([[LocalEngine.onPool]]), which hands the workers' copied output to
+  *    the sink in block order, so the sink sees the same entries in the
   *    same order as on one thread.
   *    So `deg`, the buckets, the flagged list and with them core, `order`,
   *    visits and BFS count are the same on every thread count.
@@ -147,11 +148,11 @@ object CoreDecomp {
 
     /** The round's discovery output: each reached vertex, in order, flagged
       * (appended to `list`) or dropped by its count (see the object doc). */
-    final def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], m: Int): Unit = {
+    final def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit = {
       var nl = listEnd
-      var j = 0
-      if (lanes == null) while (j < m) { nl = reach(found(j), dist(j), 1, nl); j += 1 }
-      else while (j < m) { nl = reach(found(j), dist(j), lanes(j), nl); j += 1 }
+      var j = from
+      if (lanes == null) while (j < until) { nl = reach(found(j), dist(j), 1, nl); j += 1 }
+      else while (j < until) { nl = reach(found(j), dist(j), lanes(j), nl); j += 1 }
       listEnd = nl
     }
 

@@ -1,7 +1,8 @@
 package repro.core
 
 import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
-import scala.jdk.CollectionConverters._
+import java.util.concurrent.atomic.AtomicInteger
+import scala.util.{Failure, Try}
 
 /** Batch computation of h-degrees for a set of vertices over a fixed alive
   * mask — the block the paper parallelizes in §4.6 (its preferred option:
@@ -79,10 +80,12 @@ trait HDegEngine {
     * sources `sources(0 until np)` (a round's peeled vertices, all still
     * alive), in blocks of up to 64 sources through [[MultiHBfs.discover]]
     * and a tail under 8 through per-vertex [[HBfs.run]]
-    * ([[EngineKernels.discoverRange]]). Each block's output goes to `sink`,
-    * in block order and always on the calling thread, so the sink sees the
-    * same calls on every engine. This default runs every block on the
-    * caller, on its [[EngineScratch]], and allocates nothing.
+    * ([[EngineKernels.discoverRange]]). The output goes to `sink` in block
+    * order and always on the calling thread. [[LocalEngine]] may run the
+    * blocks on its pool and hand the sink their copied output a chunk of
+    * blocks at a time, so the sink sees the same entries in the same order
+    * on every engine, not the same calls. This default runs every block on
+    * the caller, on its [[EngineScratch]], and allocates nothing.
     */
   def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
                     h: Int, budget: Budget, sink: DiscoverySink): Unit =
@@ -93,17 +96,18 @@ trait HDegEngine {
 }
 
 /** Receives a round discovery's output ([[HDegEngine.discoverRound]]), in
-  * the order of the round's blocks: for j < m, `found(j)` was reached at
-  * distance `dist(j)` from the nearest of `lanes(j)` sources of its block
-  * (one each when `lanes` is null). The arrays are the kernel's and are
-  * reused after the call returns.
+  * the order of the round's blocks: for `from <= j < until`, `found(j)` was
+  * reached at distance `dist(j)` from the nearest of `lanes(j)` sources of
+  * its block (one each when `lanes` is null). The arrays are the kernel's
+  * or a [[FoundLog]]'s and are reused after the call returns.
   */
 trait DiscoverySink {
-  def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], m: Int): Unit
+  def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit
 }
 
-/** A pool worker's copy of its share of a round's discovery output, in
-  * block order, for the caller to hand to the round's sink.
+/** One thread's copy of the discovery output of the chunks it ran in a
+  * pooled round ([[LocalEngine.onPool]]), in the order it ran them, for the
+  * caller to hand to the round's sink in chunk order.
   */
 private final class FoundLog extends DiscoverySink {
   var found = new Array[Int](1024)
@@ -111,17 +115,18 @@ private final class FoundLog extends DiscoverySink {
   var lanes = new Array[Int](1024)
   var size = 0
 
-  def reached(f: Array[Int], d: Array[Int], l: Array[Int], m: Int): Unit = {
+  def reached(f: Array[Int], d: Array[Int], l: Array[Int], from: Int, until: Int): Unit = {
+    val m = until - from
     if (size + m > found.length) {
       val cap = math.max(2 * found.length, size + m)
       found = java.util.Arrays.copyOf(found, cap)
       dist = java.util.Arrays.copyOf(dist, cap)
       lanes = java.util.Arrays.copyOf(lanes, cap)
     }
-    System.arraycopy(f, 0, found, size, m)
-    System.arraycopy(d, 0, dist, size, m)
+    System.arraycopy(f, from, found, size, m)
+    System.arraycopy(d, from, dist, size, m)
     if (l == null) java.util.Arrays.fill(lanes, size, size + m, 1)
-    else System.arraycopy(l, 0, lanes, size, m)
+    else System.arraycopy(l, from, lanes, size, m)
     size += m
   }
 }
@@ -199,100 +204,99 @@ private[repro] object EngineKernels {
     while (until - i >= MinLanes) {
       val lanes = math.min(MultiHBfs.Lanes, until - i)
       val m = s.multi.discover(g, alive, sources, i, lanes, h, budget)
-      sink.reached(s.multi.found, s.multi.foundRound, s.multi.foundLanes, m)
+      sink.reached(s.multi.found, s.multi.foundRound, s.multi.foundLanes, 0, m)
       i += lanes
     }
     while (i < until) {
       val m = s.bfs.run(g, alive, sources(i), h, budget)
-      sink.reached(s.bfs.nbrs, s.bfs.nbrDist, null, m)
+      sink.reached(s.bfs.nbrs, s.bfs.nbrDist, null, 0, m)
       i += 1
     }
   }
 }
 
-/** The local engine: every h-degree batch is independent h-BFS (§4.6) run
-  * through [[EngineKernels.hDegRange]] on the running thread's scratch, so
-  * building one allocates nothing. A batch of at most 64 vertices, or any
-  * batch when `threads` is 1, runs on the caller. A longer one is split
-  * into `threads * 4` chunks, rounded up to multiples of 64 vertices so
-  * that every chunk but the last fills whole 64-lane blocks, and run on a
-  * fixed pool; a single-chunk batch still runs on the caller. Capped
-  * batches are chunked the same way, so their 64-lane blocks are those of
-  * a run on the caller. A round discovery of at least
-  * [[LocalEngine.MinPooledRound]] peeled vertices runs on the pool as well
-  * ([[discoverPooled]]); a smaller one, or any when `threads` is 1, is the
-  * trait's loop on the caller. A worker's failure, e.g. [[BudgetExceeded]],
-  * is rethrown as itself. LB2 batches are the trait's max pass, on the
-  * caller.
+/** The local engine: §4.6's "different h-BFS traversals to different
+  * processors" on one fixed pool, through one dispatch ([[onPool]]) for
+  * both of its kinds of work:
+  *  - an h-degree batch, exact or capped: [[EngineKernels.hDegRange]]
+  *    writes each chunk's entries into the batch's output in place;
+  *  - a round discovery ([[discoverRound]]): [[EngineKernels.discoverRange]]
+  *    runs the caller's first chunk straight into the round's sink, and
+  *    every other chunk into a [[FoundLog]] of the thread that ran it; the
+  *    caller then hands the logs' chunks to the sink in chunk order.
+  * A batch or round of fewer than [[LocalEngine.MinPooled]] vertices, and
+  * every one when `threads` is 1, is the trait's loop on the caller, on its
+  * [[EngineScratch]], and allocates nothing new. The chunks are whole
+  * 64-vertex blocks, so capped counts, visits and the sink's entries and
+  * their order are those of a run on the caller. LB2 batches are the
+  * trait's max pass, on the caller.
   */
 class LocalEngine private[repro] (threads: Int) extends HDegEngine {
   require(threads >= 1, s"threads = $threads")
   private val pool = if (threads > 1) Executors.newFixedThreadPool(threads) else null
 
+  /** An exact batch: one with no cap. */
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] =
-    chunked(g, alive, vertices, h, Int.MaxValue, budget)
+    batchHDegCapped(g, alive, vertices, h, Int.MaxValue, budget)
 
   override def batchHDegCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                                h: Int, cap: Int, budget: Budget): Array[Int] =
-    chunked(g, alive, vertices, h, cap, budget)
-
-  private def chunked(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                      h: Int, cap: Int, budget: Budget): Array[Int] = {
-    val len = vertices.length
-    val out = new Array[Int](len)
-    // Chunk length; `len` or more ⇒ run on the caller.
-    val chunk =
-      if (pool == null) len
-      else math.max(1, (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes) * MultiHBfs.Lanes
-    if (chunk >= len) EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, len, cap)
+    if (pool == null || vertices.length < LocalEngine.MinPooled)
+      super.batchHDegCapped(g, alive, vertices, h, cap, budget)
     else {
-      val tasks = (0 until len by chunk).map { from =>
-        (() => EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out,
-                                       from, math.min(len, from + chunk), cap)): Callable[Unit]
+      val out = new Array[Int](vertices.length)
+      onPool(vertices.length, null) { (from, until, _) =>
+        EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, from, until, cap)
       }
-      pool.invokeAll(tasks.asJava).asScala.foreach { f =>
-        try f.get()
-        catch { case e: ExecutionException => throw e.getCause }
-      }
+      out
     }
-    out
-  }
 
   override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
                              h: Int, budget: Budget, sink: DiscoverySink): Unit =
-    if (pool == null || np < LocalEngine.MinPooledRound) super.discoverRound(g, alive, sources, np, h, budget, sink)
-    else discoverPooled(g, alive, sources, np, h, budget, sink)
-
-  /** [[discoverRound]] on the pool, whatever the round's size: the round's
-    * 64-vertex blocks are cut into up to `threads` contiguous shares. The
-    * caller runs the first share into `sink` while the pool runs the others,
-    * each into its own [[FoundLog]]; the caller then hands the logs to
-    * `sink` in share order. So `sink` gets the same entries in the same
-    * order as from a run on the caller. The round ends only after every
-    * share has ended, and a worker's failure is rethrown as itself.
-    */
-  private[repro] def discoverPooled(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
-                                    h: Int, budget: Budget, sink: DiscoverySink): Unit = {
-    val blocks = (np + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes
-    val shares = math.max(1, math.min(threads, blocks))
-    // Share s is sources(start(s) until start(s + 1)).
-    def start(s: Int): Int = math.min(np, s * blocks / shares * MultiHBfs.Lanes)
-    val logs = (1 until shares).map { s =>
-      pool.submit((() => {
-        val log = new FoundLog
-        EngineKernels.discoverRange(g, alive, sources, start(s), start(s + 1), h, budget,
-                                    EngineScratch.get(g.n), log)
-        log
-      }): Callable[FoundLog])
+    if (pool == null || np < LocalEngine.MinPooled) super.discoverRound(g, alive, sources, np, h, budget, sink)
+    else onPool(np, sink) { (from, until, to) =>
+      EngineKernels.discoverRange(g, alive, sources, from, until, h, budget, EngineScratch.get(g.n), to)
     }
-    try {
-      EngineKernels.discoverRange(g, alive, sources, 0, start(1), h, budget, EngineScratch.get(g.n), sink)
-      logs.foreach { f =>
-        val log = try f.get() catch { case e: ExecutionException => throw e.getCause }
-        sink.reached(log.found, log.dist, log.lanes, log.size)
+
+  /** The engine's one pool dispatch, whatever `len`: `run(from, until, to)`
+    * over the chunks of `0 until len`, `threads * 4` of them rounded up to
+    * whole 64-vertex blocks. The caller runs chunk 0 into `sink`; then the
+    * caller and up to `threads − 1` pool workers claim the other chunks
+    * from one cursor, each thread into one [[FoundLog]] of its own, and
+    * after the last chunk the caller hands the logs' chunks to `sink` in
+    * chunk order. With a null `sink`, `run` writes its output itself and
+    * gets null. It returns or throws only after every worker has ended,
+    * since the caller changes the alive mask next; the first failure closes
+    * the cursor, and a worker's, e.g. [[BudgetExceeded]], is rethrown as
+    * itself.
+    */
+  private[repro] def onPool(len: Int, sink: DiscoverySink)(run: (Int, Int, DiscoverySink) => Unit): Unit = {
+    val chunk = math.max(1, (len / (threads * 4) + MultiHBfs.Lanes - 1) / MultiHBfs.Lanes) * MultiHBfs.Lanes
+    val chunks = (len + chunk - 1) / chunk
+    val cursor = new AtomicInteger(1)
+    // With a sink, chunk c ≥ 1 went to logs(c), at cuts(2c) until cuts(2c + 1).
+    val logs = if (sink != null) new Array[FoundLog](chunks) else null
+    val cuts = if (sink != null) new Array[Int](2 * chunks) else null
+    def drain(): Unit = {
+      var log: FoundLog = null
+      var c = cursor.getAndIncrement()
+      while (c < chunks) {
+        if (sink != null && log == null) log = new FoundLog
+        if (log != null) { logs(c) = log; cuts(2 * c) = log.size }
+        run(c * chunk, math.min(len, c * chunk + chunk), log)
+        if (log != null) cuts(2 * c + 1) = log.size
+        c = cursor.getAndIncrement()
       }
-    } finally logs.foreach(f => try f.get() catch { case _: ExecutionException => () })
+    }
+    def closing(body: => Unit): Unit = try body catch { case e: Throwable => cursor.set(chunks); throw e }
+    val workers = Seq.fill(math.min(threads - 1, chunks - 1))(pool.submit((() => closing(drain())): Callable[Unit]))
+    val caller = Try(closing { run(0, math.min(len, chunk), sink); drain() })
+    // Every worker has ended before the first failure, if any, is rethrown.
+    (caller +: workers.map(f => Try(f.get()).recoverWith { case e: ExecutionException => Failure(e.getCause) }))
+      .foreach(_.get)
+    if (sink != null)
+      for (c <- 1 until chunks) sink.reached(logs(c).found, logs(c).dist, logs(c).lanes, cuts(2 * c), cuts(2 * c + 1))
   }
 
   override def shutdown(): Unit = if (pool != null) {
@@ -302,20 +306,26 @@ class LocalEngine private[repro] (threads: Int) extends HDegEngine {
 }
 
 private[repro] object LocalEngine {
-  /** Smallest round whose discovery runs on the pool: two full 64-lane
-    * blocks. A smaller round is one block, or one block and a tail for a
-    * worker, and the caller still applies every entry. `KernelCrossoverBench`
-    * times recorded h-LB+UB rounds on the caller and on a 4-thread pool;
-    * caller ÷ pooled time over two runs on a 4-core host:
-    *  - 65–127 vertices: 1.25–1.27 comm, 1.09–1.24 hub, 0.82–1.06 road;
-    *  - 128–255: 1.94–2.15 comm, 1.43–1.81 hub, 0.82–1.11 road;
-    *  - 256–511: 2.33–2.34 comm, 1.07–1.15 road (no hub round);
-    *  - 512 and more: 2.66–2.96 comm, 2.15–2.65 hub, 2.22–2.37 road.
-    * Road rounds of 128–511 vertices take about 0.1–0.3 ms, near the cost of
-    * waking the pool, yet a cutoff of 512 ran perfbench's `road-grid-h4`
-    * `hlbub_mt_s` 8% slower than 128 (median of 6 alternating pairs).
+  /** Smallest h-degree batch or round discovery run on the pool: two full
+    * 64-lane blocks, one chunk for the caller and at least one for a
+    * worker. `KernelCrossoverBench` times recorded h-LB+UB batches and
+    * rounds on the caller and through [[LocalEngine.onPool]] on 4 threads;
+    * caller ÷ pooled time over two runs on a 4-core host, h-degree batches
+    * then discovery:
+    *  - 8–64 vertices (one chunk, on the caller either way): 0.96–1.01;
+    *  - 65–127: comm 1.31–1.40, 1.36–1.44; hub 1.41, 1.17–1.23; road
+    *    1.23–1.29, 1.03–1.07;
+    *  - 128–255: comm 1.95–2.01, 1.75–1.95; hub 1.85–1.99, 1.25–1.45;
+    *    road 1.33–1.52, 1.25–1.32;
+    *  - 256–511: 1.93–2.78, 1.84–2.65 (no hub round of that size);
+    *  - 512 and more: 2.7–3.3 and 2.0–2.7 on all three.
+    * The bench keeps the pool warm between repetitions. A cutoff of 65,
+    * which its 65–127 row favours, ran perfbench's threaded h-LB+UB
+    * (`hlbub_mt_s`, median of 6 alternating pairs against 128) 7.0% faster
+    * on comm, 4.5% slower on hub and 0.2% slower on road: no clear gain,
+    * so the cutoff stays at two blocks.
     */
-  final val MinPooledRound = 2 * MultiHBfs.Lanes
+  final val MinPooled = 2 * MultiHBfs.Lanes
 }
 
 /** Single-threaded engine (the sequential versions of the algorithms): no

@@ -10,7 +10,7 @@ import repro.core._
   * Every h-LB and h-LB+UB result, sequential and threaded, level-synchronous
   * and paper-literal, must pass [[Certify]] on all 13 analogs at h = 2, 3
   * (lj only at h = 2: h=3 takes 1.7·10⁹ visits), with the same core, order,
-  * visits and BFS count on 1 and 4 threads. h-LB's certified array is
+  * visits and BFS count on 1, 2, 3 and 4 threads. h-LB's certified array is
   * the reference: every other h-LB+UB variant and h-BZ must return exactly
   * it, and it must lie between LB2 and UB.
   */
@@ -30,19 +30,21 @@ class DatasetAgreementSpec extends AnyFunSuite {
   for (e <- Datasets.all; h <- Seq(2, 3) if !(e.name == "lj" && h == 3))
     test(s"Certify accepts h-LB and h-LB+UB on the ${e.name} analog (h=$h)") {
       val g = Datasets(e.name)
-      val eng = new ThreadedEngine(g.n, threads = 4)
+      val engines = Seq(2, 3, 4).map(t => (t, new ThreadedEngine(g.n, threads = t)))
       try {
         for (algo <- Seq[Algo](Algo.HLB, Algo.HLBUB(None)); paperLiteral <- Seq(false, true)) {
           val label = s"${e.name}: $algo paperLiteral=$paperLiteral"
-          val runs = Seq(None, Some(eng)).map(KHCore.decompose(g, h, algo, _, paperLiteral = paperLiteral))
-          for ((r, threaded) <- runs.zip(Seq(false, true)))
-            Certify.check(g, h, r.core, r.order).foreach(f => fail(s"$label threaded=$threaded: $f"))
-          val Seq(seq, mt) = runs
-          assert(seq.core.toSeq == mt.core.toSeq, s"$label: core")
-          assert(seq.order.toSeq == mt.order.toSeq, s"$label: order")
-          assert((seq.visits, seq.bfsCount) == ((mt.visits, mt.bfsCount)), s"$label: visits, BFS")
+          val seq = KHCore.decompose(g, h, algo, None, paperLiteral = paperLiteral)
+          Certify.check(g, h, seq.core, seq.order).foreach(f => fail(s"$label threads=1: $f"))
+          for ((t, eng) <- engines) {
+            val mt = KHCore.decompose(g, h, algo, Some(eng), paperLiteral = paperLiteral)
+            Certify.check(g, h, mt.core, mt.order).foreach(f => fail(s"$label threads=$t: $f"))
+            assert(seq.core.toSeq == mt.core.toSeq, s"$label threads=$t: core")
+            assert(seq.order.toSeq == mt.order.toSeq, s"$label threads=$t: order")
+            assert((seq.visits, seq.bfsCount) == ((mt.visits, mt.bfsCount)), s"$label threads=$t: visits, BFS")
+          }
         }
-      } finally eng.shutdown()
+      } finally engines.foreach(_._2.shutdown())
     }
 
   for ((name, h) <- analogs)
