@@ -12,18 +12,19 @@ import scala.util.Random
   * and `LocalEngine` runs an h-degree batch or a round discovery of 128 or
   * more vertices on its pool; this suite makes both cutoffs reproducible.
   *
-  * On each of the three benchmark graphs it records recompute-shaped
-  * batches: the radius-h batches of a sequential h-LB run, each with the
-  * alive mask it was issued under (a seeded sample of up to 40 per
-  * batch-size class). It then times both kernels on the same batches and
+  * On each of the three benchmark graphs it records the radius-h batches
+  * of a sequential h-LB run, each with the alive mask it was issued under
+  * (a seeded sample of up to 40 per batch-size class): with loss-bounded
+  * peeling these are all the batches a round measures when it pops
+  * vertices at a lower bound, since nothing else is re-measured. It then times both kernels on the same batches and
   * prints the ratio per-vertex time ÷ 64-lane time per class, plus the
   * all-vertex radius-h batch of the full graph. A ratio above 1 means the
   * lanes are faster.
   *
   * The second test records a sequential default h-LB+UB run in the same
   * way, both of the kinds of work the pool serves: its radius-h h-degree
-  * batches, and its peel rounds (the peeled vertices and the alive mask of
-  * each round's discovery). Per kind and size class it times the work on
+  * batches, and its peel rounds (the peeled vertices, the alive mask and
+  * whether the discovery bounds the loss, for each round). Per kind and size class it times the work on
   * the caller against `LocalEngine.onPool` on 4 threads, forced at every
   * size. The discovery sink reads every entry, as CoreDecomp's does. A
   * ratio above 1 means the pool is faster.
@@ -39,8 +40,9 @@ class KernelCrossoverBench extends AnyFunSuite {
   private def classLabel(c: (Int, Int)): String =
     if (c._2 == Int.MaxValue) s">= ${c._1}" else s"${c._1}-${c._2}"
 
-  /** One recorded batch: the vertices and the alive mask at the time. */
-  private final class Batch(val alive: Array[Boolean], val vertices: Array[Int])
+  /** One recorded batch: the vertices and the alive mask at the time, and
+    * for a round whether its discovery bounds the loss. */
+  private final class Batch(val alive: Array[Boolean], val vertices: Array[Int], val loss: Boolean)
 
   /** A seeded reservoir sample of up to `perClass` batches per size class. */
   private final class Reservoir(classes: Seq[(Int, Int)]) {
@@ -49,12 +51,12 @@ class KernelCrossoverBench extends AnyFunSuite {
       classes.map(_ -> mutable.ArrayBuffer.empty[Batch]).toMap
     private val seenPerClass = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
 
-    def offer(alive: Array[Boolean], vertices: Array[Int], len: Int): Unit =
+    def offer(alive: Array[Boolean], vertices: Array[Int], len: Int, loss: Boolean = false): Unit =
       classes.find { case (lo, hi) => len >= lo && len <= hi }.foreach { c =>
         val seen = seenPerClass(c) + 1
         seenPerClass(c) = seen
         val buf = sample(c)
-        def batch = new Batch(alive.clone(), java.util.Arrays.copyOf(vertices, len))
+        def batch = new Batch(alive.clone(), java.util.Arrays.copyOf(vertices, len), loss)
         if (buf.length < perClass) buf += batch
         else {
           val slot = (rnd.nextDouble() * seen).toLong
@@ -79,9 +81,9 @@ class KernelCrossoverBench extends AnyFunSuite {
     }
 
     override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
-                               r: Int, budget: Budget, sink: DiscoverySink): Unit = {
-      rounds.offer(alive, sources, np)
-      super.discoverRound(g, alive, sources, np, r, budget, sink)
+                               r: Int, loss: Boolean, budget: Budget, sink: DiscoverySink): Unit = {
+      rounds.offer(alive, sources, np, loss)
+      super.discoverRound(g, alive, sources, np, r, loss, budget, sink)
     }
   }
 
@@ -92,10 +94,10 @@ class KernelCrossoverBench extends AnyFunSuite {
   /** A sink that reads every entry into an order-dependent hash. */
   private final class HashSink extends DiscoverySink {
     var hash = 0L
-    def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit = {
+    def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit = {
       var j = from
       while (j < until) {
-        hash = hash * 31 + found(j) * 7L + dist(j) * 3L + (if (lanes == null) 1 else lanes(j))
+        hash = hash * 31 + found(j) * 7L + dist(j) * 3L + (if (loss == null) 1 else loss(j))
         j += 1
       }
     }
@@ -155,7 +157,7 @@ class KernelCrossoverBench extends AnyFunSuite {
       KHCore.decompose(g, h, Algo.HLB, Some(rec))
       val bfs = new HBfs(g.n)
       val ms = new MultiHBfs(g.n)
-      val all = Seq(new Batch(Array.fill(g.n)(true), Array.range(0, g.n)))
+      val all = Seq(new Batch(Array.fill(g.n)(true), Array.range(0, g.n), loss = false))
       val groups = classes.map(c => (classLabel(c), h, rec.batches.sample(c).toSeq)) ++
         Seq((s"all vertices, r=$h", h, all), (s"all vertices, r=${h / 2}", h / 2, all))
       for ((label, r, batches) <- groups if batches.nonEmpty) {
@@ -209,9 +211,9 @@ class KernelCrossoverBench extends AnyFunSuite {
           val sink = new HashSink
           for (b <- sample) {
             val np = b.vertices.length
-            if (!pooled) seq.discoverRound(g, b.alive, b.vertices, np, h, Budget.unlimited(), sink)
+            if (!pooled) seq.discoverRound(g, b.alive, b.vertices, np, h, b.loss, Budget.unlimited(), sink)
             else pool.onPool(np, sink) { (from, until, to) =>
-              EngineKernels.discoverRange(g, b.alive, b.vertices, from, until, h, Budget.unlimited(),
+              EngineKernels.discoverRange(g, b.alive, b.vertices, from, until, h, b.loss, Budget.unlimited(),
                                           EngineScratch.get(g.n), to)
             }
             sink.hash = sink.hash * 17 + np

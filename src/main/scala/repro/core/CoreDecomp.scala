@@ -10,20 +10,20 @@ package repro.core
   * bulk-synchronous k-core peel of ParK, Dasari et al., IEEE BigData 2014,
   * and PKC, Kabir & Madduri, IPDPSW 2017), or only its first vertex
   * (`paperLiteral`, Alg. 1 / 3 as written).
-  *  - If a vertex of P has its `setLB` flag raised, it sits at a lower
-  *    bound: all such vertices, and the `capped` ones (see below), are
-  *    measured in one engine batch, P is re-bucketed and the level is
-  *    popped again (Alg. 3 lines 4–7).
+  *  - If a vertex of P sits at a lower bound (its `setLB` or `lowerDeg`
+  *    flag is raised, see below), all such vertices are measured in one
+  *    engine batch, P is re-bucketed and the level is popped again (Alg. 3
+  *    lines 4–7).
   *  - Otherwise every f ∈ P is peeled at level k. Discovery runs an h-BFS
   *    from each f, with all of P still alive, and reads for each vertex u
-  *    it reaches (skipping P and vertices at a lower bound) its distance
-  *    d(u,P) = min over f of d(u,f), and cnt(u), the number of f ∈ P that
-  *    reach u:
+  *    it reaches (skipping P and `setLB` vertices) its distance
+  *    d(u,P) = min over f of d(u,f), and either cnt(u), the number of
+  *    f ∈ P that reach u, or its loss bound L(u) (below):
   *    - `d(u,P) < remeasureBelow`: u is flagged; once P is removed, every
   *      flagged vertex is re-measured by one h-BFS, in one batch the engine
   *      may parallelize (§4.6);
-  *    - otherwise: u's h-degree drops by cnt(u) right away, with one
-  *      bucket move.
+  *    - otherwise: u's `deg` drops by cnt(u), or by L(u), with one bucket
+  *      move.
   *    The engine runs the discovery ([[HDegEngine.discoverRound]]): a
   *    round of at least 8 vertices in blocks of up to 64 sources through
   *    the 64-lane kernel ([[MultiHBfs.discover]]), as the engines measure
@@ -38,15 +38,18 @@ package repro.core
   *    ([[LocalEngine.onPool]]), which hands the workers' copied output to
   *    the sink in block order, so the sink sees the same entries in the
   *    same order as on one thread.
-  *    So `deg`, the buckets, the flagged list and with them core, `order`,
+  *    So `deg`, the buckets, the flags and with them core, `order`,
   *    visits and BFS count are the same on every thread count.
   *
-  * The four callers differ only in `remeasureBelow`, the levels peeled and
-  * whether h-LB's re-measures are capped:
+  * The callers differ only in `remeasureBelow` and the levels peeled:
   *  - h + 1 (h-BZ): every h-neighbour is re-measured (Alg. 1 line 9);
-  *  - h (CoreDecomp): neighbours at distance h drop (Alg. 3 lines 14–17);
-  *  - 1 (UpperBound): every h-neighbour drops, the core decomposition of
-  *    the implicit power graph, an upper bound (see below);
+  *  - h (CoreDecomp, h-LB and the h-LB+UB intervals): paper-literal,
+  *    neighbours nearer than h are re-measured and those at distance h
+  *    drop by cnt (Alg. 3 lines 14–17); by default (h ≥ 2) every reached
+  *    vertex drops by L(u) and nothing is re-measured;
+  *  - 1 (UpperBound): every h-neighbour drops by cnt, the core
+  *    decomposition of the implicit power graph, an upper bound (see
+  *    below);
   *  - 1 at the one level kmin−1, with kmax = kmin−1 (ImproveLB's clean-up
   *    in [[HLBUB.runInterval]]): every vertex whose upper bound falls
   *    below kmin is removed, and none is assigned.
@@ -67,32 +70,33 @@ package repro.core
   *    cnt(u) sources that reach u. A flagged vertex's `deg` is overwritten
   *    by its re-measure.
   *
-  * Capped re-measures (h-LB only, not paper-literal). Until a vertex's own
-  * level comes, the peel only needs to know that its h-degree is above the
-  * current level: this is §4.3's lazy materialisation, carried from the
-  * initial bounds to the re-measures. At level k, a flagged vertex may be
-  * re-measured by an h-BFS that stops after `cap` h-neighbours, with
-  * `cap = k + 1 + max(4, ⌊k/4⌋)`. If it stops, u keeps the count as
-  * `deg(u)`, is marked `capped`, and sits in bucket max(deg(u), k).
-  * Unlike a `setLB` vertex, it still takes the −cnt drops and the flags;
-  * when a round pops it, it is measured exactly in that round's `setLB`
-  * batch, before anything is peeled. Why the result stays exact:
-  *  - a capped count is at most u's h-degree in the alive set;
-  *  - a −cnt drop is u's exact loss of h-degree (see above), so after it
-  *    `deg(u)` is still at most u's h-degree; a nearer peeled vertex flags u
-  *    for a new capped or exact measure instead;
+  * Loss bounds (default CoreDecomp, h ≥ 2). Removing P costs an alive
+  * u ∉ P at most L(u) = Σ over f ∈ P with d(u,f) ≤ h of |B̄(f, h − d(u,f))|
+  * h-neighbours, where B̄(f, r) is f's closed r-ball in A (P still alive).
+  * Proof: let w be an h-neighbour of u in A that is not one in A \ P. A
+  * shortest u–w path in A has length ≤ h and passes through some f ∈ P
+  * (else it would survive), so d(u,f) + d(f,w) ≤ h, and w ∈ B̄(f, h − d(u,f)).
+  * At d(u,f) = h the term is 1, Alg. 3's −1, so L(u) = cnt(u) when every
+  * f reaches u at distance h, and the drop is exact as above. Discovery
+  * computes L with exact per-source distances ([[MultiHBfs]],
+  * [[HBfs.losses]]), u's `deg` drops by L(u) and u moves to bucket
+  * max(deg(u), k). If some f reached u at distance < h, `deg(u)` is from
+  * then on only a lower bound of u's h-degree, and `lowerDeg(u)` is
+  * raised: this is §4.3's lazy materialisation, carried from the initial
+  * bounds to the peel. Such a vertex keeps taking drops, and when a round
+  * pops it, it is measured exactly in that round's lower-bound batch,
+  * before anything is peeled. Why the result stays exact:
+  *  - a drop by L(u) keeps `deg(u)` at most u's h-degree, by the bound;
+  *    when every f reached u at distance h the drop is exact, so an exact
+  *    `deg(u)` stays exact;
   *  - so every alive vertex sits in a bucket ≤ max(its h-degree, k), as an
   *    exactly measured one does, and no vertex is peeled without an exact
   *    h-degree at its own level.
   * This is the `setLB` contract with a lower bound of the h-degree that the
-  * peel keeps up to date, instead of a frozen lower bound of the core index.
-  * A flagged vertex is capped only if it is already capped or has
-  * `deg(u) ≥ 2·cap`: an uncapped `deg(u)` bounds its new h-degree from
-  * above, and below 2·cap counting in lanes costs more than the cap saves.
-  * The flagged vertices are partitioned in place into a capped and an exact
-  * batch. The h-LB+UB interval peels stay exact: capped, their visits
-  * moved by ≤ 0.002% (hub h=3: 16 275 873 → 16 276 126–16 276 170) and
-  * came to depend on vertex ids.
+  * peel keeps up to date, instead of a frozen lower bound of the core
+  * index. A complete peel pops every vertex, so none is left lower-bounded;
+  * at h = 1 none ever is. A `setLB` vertex is skipped as before: its `deg`
+  * is ignored until it is measured.
   *
   * Why UpperBound in rounds is still an upper bound. Invariant: `deg(u)` is
   * at least u's h-degree in the alive set. Removing P from A costs u at
@@ -109,10 +113,12 @@ package repro.core
   *
   * Caller contract:
   *  - `st.alive` masks the subgraph to peel (it is mutated);
-  *  - every alive vertex is bucketed, at ≥ max(0, kmin−1), either at its
-  *    h-degree (in `st.deg`) with `setLB = false`, or at a *valid lower
-  *    bound* of its core index with `setLB = true` (`deg` is ignored
-  *    while the flag is set); or it is left out of the buckets with
+  *  - every alive vertex is bucketed, at ≥ max(0, kmin−1), either at
+  *    max(`st.deg`, the level it was last moved at) with `setLB` down,
+  *    where `deg` is its h-degree or, with `lowerDeg` raised, a lower bound
+  *    of it; or at a *valid lower bound* of its core index with
+  *    `setLB = true` (`deg` is ignored while the flag is set); or it is
+  *    left out of the buckets with
   *    `setLB = true`, so it is never popped and discovery skips it (h-LB+UB
   *    leaves the vertices assigned by a higher interval so);
   *  - on return, every alive vertex whose core index lies in [kmin, kmax]
@@ -124,6 +130,8 @@ object CoreDecomp {
   /** Peeling state over n vertices: the alive mask, bucket queue, current
     * h-degrees, core indices (−1 = unassigned), lower-bound flags and the
     * assigned vertices in assignment order (`order(0 until assigned)`).
+    * `lowerDeg(u)` marks a vertex whose `deg` is a lower bound of its
+    * h-degree that the peel keeps up to date (see the object doc).
     *
     * `list` and `listed` are a vertex list and its membership marks, empty
     * between rounds: a round's P followed by the vertices it flags for
@@ -136,51 +144,52 @@ object CoreDecomp {
     val deg = new Array[Int](n)
     val core = Array.fill(n)(-1)
     val setLB = new Array[Boolean](n)
+    val lowerDeg = new Array[Boolean](n)
     val order = new Array[Int](n)
     var assigned = 0
     val list = new Array[Int](n)
     val listed = new Array[Boolean](n)
-    // The round being discovered: its level, the caller's `remeasureBelow`
-    // and the end of `list`.
+    // The round being discovered: its level, the distance below which a
+    // reached vertex is flagged, the distance below which a drop leaves
+    // its `deg` a lower bound, and the end of `list`.
     private[CoreDecomp] var level = 0
     private[CoreDecomp] var remeasureBelow = 0
+    private[CoreDecomp] var lowerBelow = 0
     private[CoreDecomp] var listEnd = 0
 
     /** The round's discovery output: each reached vertex, in order, flagged
-      * (appended to `list`) or dropped by its count (see the object doc). */
-    final def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit = {
+      * (appended to `list`) or dropped by its loss (see the object doc). */
+    final def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit = {
       var nl = listEnd
       var j = from
-      if (lanes == null) while (j < until) { nl = reach(found(j), dist(j), 1, nl); j += 1 }
-      else while (j < until) { nl = reach(found(j), dist(j), lanes(j), nl); j += 1 }
+      if (loss == null) while (j < until) { nl = reach(found(j), dist(j), 1, nl); j += 1 }
+      else while (j < until) { nl = reach(found(j), dist(j), loss(j), nl); j += 1 }
       listEnd = nl
     }
 
-    /** Discovery reached `u` at distance `d` from `cnt` peeled vertices:
-      * flags u (appended at `list(nl)`) or drops its h-degree by `cnt`.
-      * Returns the new end of the list. Skips peeled, flagged and
-      * lower-bounded vertices.
+    /** Discovery reached `u` at distance `d` from the round, which costs it
+      * at most `loss` h-neighbours: flags u (appended at `list(nl)`) or
+      * drops its `deg` by `loss`, not below 0 (a lower bound of any
+      * h-degree). Returns the new end of the list. Skips peeled, flagged
+      * and `setLB` vertices.
       */
-    private def reach(u: Int, d: Int, cnt: Int, nl: Int): Int =
+    private def reach(u: Int, d: Int, loss: Int, nl: Int): Int =
       if (setLB(u) || listed(u)) nl
       else if (d < remeasureBelow) { list(nl) = u; listed(u) = true; nl + 1 }
       else {
-        deg(u) -= cnt
+        deg(u) = math.max(0, deg(u) - loss)
+        if (d < lowerBelow) lowerDeg(u) = true
         buckets.move(u, math.max(deg(u), level))
         nl
       }
   }
 
-  /** The cap of a re-measure at level k (see the object doc). */
-  private def capAt(k: Int): Int = k + 1 + math.max(4, k / 4)
-
   /** h-BZ, h-LB and UpperBound: bucket every vertex at `init(v)` and peel
     * [0, n−1]. `init` is every vertex's h-degree (`lowerBound` false: h-BZ
     * with `remeasureBelow = h + 1`, UpperBound with 1) or a lower bound of
     * its core index, with `setLB` raised (`lowerBound`: h-LB, at LB2 or
-    * LB1, with `remeasureBelow = h`). h-LB caps its re-measures unless
-    * `paperLiteral`. Returns the state, whose `core` holds the core index
-    * (or UB) of every vertex.
+    * LB1, with `remeasureBelow = h`). Returns the state, whose `core` holds
+    * the core index (or UB) of every vertex.
     */
   private[core] def peelAll(g: AdjGraph, h: Int, init: Array[Int], lowerBound: Boolean,
                             remeasureBelow: Int, paperLiteral: Boolean,
@@ -190,26 +199,27 @@ object CoreDecomp {
     java.util.Arrays.fill(st.alive, true)
     var v = 0
     while (v < n) { st.deg(v) = init(v); st.setLB(v) = lowerBound; st.buckets.add(v, init(v)); v += 1 }
-    val capped = if (lowerBound && !paperLiteral) new Array[Boolean](n) else null
-    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral, st, engine, budget, capped)
+    run(g, h, 0, math.max(0, n - 1), remeasureBelow, paperLiteral, st, engine, budget)
     st
   }
 
-  /** Peels the levels [kmin, kmax] of `st` (see the object doc). `capped`
-    * is given only by h-LB's [[peelAll]]: it then caps the re-measures and
-    * marks the vertices whose `deg` is a capped count, a lower bound of
-    * their h-degree; null re-measures exactly and allocates no flags.
+  /** Peels the levels [kmin, kmax] of `st` (see the object doc). With
+    * `remeasureBelow = h` and h ≥ 2 outside `paperLiteral`, discovery
+    * bounds each reached vertex's loss and nothing is re-measured.
     */
   def run(g: AdjGraph, h: Int, kmin: Int, kmax: Int, remeasureBelow: Int,
-          paperLiteral: Boolean, st: State, engine: HDegEngine, budget: Budget,
-          capped: Array[Boolean] = null): Unit = {
+          paperLiteral: Boolean, st: State, engine: HDegEngine, budget: Budget): Unit = {
     val alive = st.alive
     val buckets = st.buckets
     val deg = st.deg
     val setLB = st.setLB
+    val lowerDeg = st.lowerDeg
     val list = st.list
     val listed = st.listed
-    st.remeasureBelow = remeasureBelow
+    // At h = 1 every reached vertex is at distance h: L is the count.
+    val loss = remeasureBelow == h && h > 1 && !paperLiteral
+    st.remeasureBelow = if (loss) 0 else remeasureBelow
+    st.lowerBelow = if (loss) h else 0
     val roundMax = if (paperLiteral) 1 else Int.MaxValue
     var k = math.max(0, kmin - 1)
     while (k <= kmax) {
@@ -221,27 +231,21 @@ object CoreDecomp {
         np += 1
         v = if (np < roundMax) buckets.pop(k) else -1
       }
-      def bounded(u: Int): Boolean = setLB(u) || (capped != null && capped(u))
       var nLB = 0
       var i = 0
-      while (i < np) { if (bounded(list(i))) nLB += 1; i += 1 }
+      while (i < np) { val u = list(i); if (setLB(u) || lowerDeg(u)) nLB += 1; i += 1 }
       if (np == 0) k += 1
       else if (nLB > 0) {
         // Lines 4–7: first touch at this level — materialize the real
-        // h-degrees of the lower-bounded and capped vertices and re-bucket P
+        // h-degrees of the vertices at a lower bound and re-bucket P
         // (clamped to the current level).
         val batch = new Array[Int](nLB)
         var j = 0
         i = 0
-        while (i < np) { val u = list(i); if (bounded(u)) { batch(j) = u; j += 1 }; i += 1 }
+        while (i < np) { val u = list(i); if (setLB(u) || lowerDeg(u)) { batch(j) = u; j += 1 }; i += 1 }
         val d = engine.batchHDeg(g, alive, batch, h, budget)
         j = 0
-        while (j < nLB) {
-          val u = batch(j)
-          deg(u) = d(j); setLB(u) = false
-          if (capped != null) capped(u) = false
-          j += 1
-        }
+        while (j < nLB) { val u = batch(j); deg(u) = d(j); setLB(u) = false; lowerDeg(u) = false; j += 1 }
         i = 0
         while (i < np) { val u = list(i); buckets.add(u, math.max(deg(u), k)); i += 1 }
       } else {
@@ -256,43 +260,18 @@ object CoreDecomp {
         // Discovery, with P alive; flagged vertices go to list(np until nl).
         st.level = k
         st.listEnd = np
-        engine.discoverRound(g, alive, list, np, h, budget, st)
+        engine.discoverRound(g, alive, list, np, h, loss, budget, st)
         val nl = st.listEnd
         i = 0
         while (i < np) { alive(list(i)) = false; i += 1 }
-        // Re-measure the flagged vertices: list(np until nc) with a cap,
-        // list(nc until nl) exactly.
-        var nc = np
-        if (capped != null) {
-          val cap = capAt(k)
-          i = np
-          while (i < nl) {
-            val u = list(i)
-            if (capped(u) || deg(u) >= 2 * cap) { list(i) = list(nc); list(nc) = u; nc += 1 }
-            i += 1
-          }
-          if (nc > np) {
-            val batch = java.util.Arrays.copyOfRange(list, np, nc)
-            val newDegs = engine.batchHDegCapped(g, alive, batch, h, cap, budget)
-            var j = 0
-            while (j < batch.length) {
-              val u = batch(j)
-              val d = newDegs(j)
-              capped(u) = d < 0
-              deg(u) = if (d < 0) ~d else d
-              buckets.move(u, math.max(deg(u), k))
-              j += 1
-            }
-          }
-        }
-        if (nl > nc) {
-          val batch = java.util.Arrays.copyOfRange(list, nc, nl)
+        // Re-measure the flagged vertices.
+        if (nl > np) {
+          val batch = java.util.Arrays.copyOfRange(list, np, nl)
           val newDegs = engine.batchHDeg(g, alive, batch, h, budget)
           var j = 0
           while (j < batch.length) {
             val u = batch(j)
             deg(u) = newDegs(j)
-            if (capped != null) capped(u) = false
             buckets.move(u, math.max(deg(u), k))
             j += 1
           }

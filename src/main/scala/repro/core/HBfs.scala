@@ -7,7 +7,9 @@ package repro.core
   * the stamp wraps to 0 (once every 2^32 − 1 runs). After [[run]]:
   *   - `nbrCount` is the h-degree of the source,
   *   - `nbrs(0 until nbrCount)` are the h-neighbors,
-  *   - `nbrDist(i)` is the shortest-path distance of `nbrs(i)` (≤ h).
+  *   - `nbrDist(i)` is the shortest-path distance of `nbrs(i)` (≤ h),
+  *     nondecreasing in i;
+  * and [[losses]] reads the source's ball sizes off those shells.
   *
   * Every vertex enqueued (including the source) counts as one "visit" for
   * the Table 3 point-to-point distance metric. Each run charges its visits
@@ -22,20 +24,14 @@ final class HBfs(n: Int) {
   val nbrs = new Array[Int](n)
   val nbrDist = new Array[Int](n)
   var nbrCount = 0
+  lazy val nbrLoss = new Array[Int](n)
 
   /** h-BFS from `src` restricted to `alive` vertices; `src` is traversed
     * regardless of its own alive flag (callers peel the source after
     * collecting its neighborhood). Returns the h-degree. Accounts visits
     * against `budget` and honors its limits.
-    *
-    * With a `cap`, the run stops once it has `cap` or more h-neighbours
-    * while a vertex at distance < h is still queued, and returns the
-    * bitwise complement `~nbrCount` (negative) of the count so far, which
-    * lies in [cap, h-degree]; a run that ends on its own returns the
-    * h-degree, whatever the cap.
     */
-  def run(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget,
-          cap: Int = Int.MaxValue): Int = {
+  def run(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget): Int = {
     token += 1
     // The stamps would repeat: clear them before a slot stamped long ago,
     // or never, can read as seen.
@@ -46,12 +42,10 @@ final class HBfs(n: Int) {
     queue(tail) = src; tail += 1
     nbrCount = 0
     var visits = 1L
-    var capped = false
     while (head < tail) {
       val u = queue(head); head += 1
       val du = dist(u)
-      if (du < h && nbrCount >= cap) { capped = true; head = tail }
-      else if (du < h) {
+      if (du < h) {
         val a = g.adj(u)
         var i = 0
         while (i < a.length) {
@@ -70,7 +64,27 @@ final class HBfs(n: Int) {
     }
     budget.merge(visits, 1)
     budget.check()
-    if (capped) ~nbrCount else nbrCount
+    nbrCount
+  }
+
+  /** After a [[run]] to radius `h`: `nbrLoss(i)`, for each h-neighbour i,
+    * set to |B̄(src, h − nbrDist(i))|, the source's closed ball of that
+    * radius in the alive set, read off the shells of `nbrDist`: the loss
+    * bound L of a one-source round (see [[CoreDecomp]]). Returns
+    * `nbrLoss`.
+    */
+  def losses(h: Int): Array[Int] = {
+    // nbrDist is nondecreasing (BFS order), so that ball is the source and
+    // nbrs(0 until j), for a j that only shrinks as i grows.
+    var j = nbrCount
+    var i = 0
+    while (i < nbrCount) {
+      val r = h - nbrDist(i)
+      while (j > 0 && nbrDist(j - 1) > r) j -= 1
+      nbrLoss(i) = 1 + j
+      i += 1
+    }
+    nbrLoss
   }
 
   /** Sets the stamp of the last run, to test the wrap. */
@@ -86,19 +100,21 @@ final class HBfs(n: Int) {
   * a bit; `touched` lists them, so a reset costs O(touched), not O(n).
   * One exact traversal serves two outputs: [[run]] gives each lane's
   * h-degree, [[discover]] each reached vertex's distance to the block and
-  * the number of lanes that reached it; in both, each lane's visits are
-  * exactly those of [[HBfs.run]] from its source. [[runCapped]] is a
-  * separate traversal that stops a lane once its count reaches a cap; where
-  * a lane stops depends on the order in which the block's scans reach its
-  * vertices, so its capped count and visits depend on the 64-vertex block
-  * it ran in, not on its source alone.
+  * the number of lanes that reached it, or its loss bound L; in both, each
+  * lane's visits are exactly those of [[HBfs.run]] from its source.
   *
-  * `runCapped` with a cap it cannot reach gives the entries and visits of
-  * [[run]], but exact batches keep [[run]]: counting in the scan loop costs
-  * more than one bit-sliced sum over `touched` at the end. With every
-  * engine block sent through `runCapped`, 10 alternating perfbench pairs on
-  * comm-dense-h3 (4-core host, `--seconds 30`) read h-LB+UB 0.150 → 0.218 s
-  * sequential and 0.077 → 0.104 s on 4 threads, slower in 10 of 10 pairs.
+  * The loss bound of a reached vertex w is L(w) = Σ over the lanes f that
+  * reach w of |B̄(f, h − d(w,f))|, f's closed ball of that radius (see
+  * [[CoreDecomp]]). Each lane contributes 1 for w itself, which the
+  * read-out adds as the number of lanes of w, plus the h-neighbours in its
+  * ball. The traversal keeps every lane's count of h-neighbours in
+  * bit-sliced counters and snapshots them after each round ρ < h as the
+  * radius-ρ planes. The lanes `d` that newly reach w in round r < h add
+  * Σ_p 2^p · popcount(d & plane[h − r][p]) over the planes in use; when
+  * h − r ≥ r those planes are not complete yet, so (w, d, h − r) is logged
+  * and added after the traversal. A lane reaching w in round h adds its 1
+  * alone, so the last round, where most vertices are reached, costs
+  * nothing more.
   */
 final class MultiHBfs(n: Int) {
   private val seen = new Array[Long](n)
@@ -112,23 +128,35 @@ final class MultiHBfs(n: Int) {
   private var roundEnd = new Array[Int](8)
   private var frontier = new Array[Int](n)
   private var reached = new Array[Int](n)
-  // Bit-sliced per-lane counters: bit i of planes(p) is bit p of the number
-  // of vertices lane i has seen, so adding a `seen` word is a carry chain.
+  // Bit-sliced per-lane counters: bit i of planes(p) is bit p of lane i's
+  // count, so adding a word of lanes is a carry chain. Loss bounds keep
+  // `inUse` of them in use.
   private val planes = new Array[Long](32)
+  private var inUse = 0
   // Counting-sort cursors of [[discover]], one per lowest lane (+ 1).
   private val slot = new Array[Int](MultiHBfs.Lanes + 1)
-  // Per-lane count of [[runCapped]] above its 4 low bits, in steps of 16.
-  private val over = new Array[Int](MultiHBfs.Lanes)
+  // Loss bounds: the radius-ρ planes at ball(32ρ until 32ρ + ballTop(ρ)),
+  // for ρ < radii; each reached vertex's L so far, less the number of its
+  // lanes; the logged reaches.
+  private var ball = new Array[Long](32 * 8)
+  private var ballTop = new Array[Int](8)
+  private var radii = 0
+  private val lossOf = new Array[Int](n)
+  private var logW = new Array[Int](256)
+  private var logLanes = new Array[Long](256)
+  private var logRadius = new Array[Int](256)
+  private var logged = 0
 
   /** After [[discover]] returns m: `found(0 until m)` are the vertices some
     * lane reached (the sources included), `foundRound(i)` is the round in
     * which a lane first reached `found(i)` (its distance to the nearest
-    * source, 0 for a source) and `foundLanes(i)` the number of lanes that
-    * reached it.
+    * source, 0 for a source) and `foundLoss(i)` the number of lanes that
+    * reached it or, with `loss`, L over the lanes that reached it in round
+    * 1 or later.
     */
   val found = new Array[Int](n)
   val foundRound = new Array[Int](n)
-  val foundLanes = new Array[Int](n)
+  val foundLoss = new Array[Int](n)
 
   /** h-degrees of the `lanes` (1..64) sources `vertices(from until
     * from + lanes)`, written to the same slots of `out`. A source is
@@ -175,119 +203,17 @@ final class MultiHBfs(n: Int) {
     budget.check()
   }
 
-  /** [[run]] with a cap: the `lanes` sources' h-degrees, except that a lane
-    * is dropped from the traversal once its count of h-neighbours, rounded
-    * down to a multiple of 16, reaches `cap`; its slot of `out` then holds
-    * the bitwise complement `~count` (negative) of its count, which lies in
-    * [cap, h-degree]. Every other slot holds the exact h-degree. Each round
-    * adds its new bits
-    * into 4 bit-sliced planes (the low 4 bits of every lane's count); a
-    * carry out of the top plane adds 16 to the lane's `over` counter, and
-    * the lane stops once that counter reaches `cap`. A lane's visits are
-    * at most those of its exact run. Charges what [[run]] charges for the
-    * visits made.
-    */
-  def runCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
-                h: Int, cap: Int, budget: Budget, out: Array[Int]): Unit = {
-    require(lanes >= 1 && lanes <= MultiHBfs.Lanes, s"lanes $lanes not in [1, ${MultiHBfs.Lanes}]")
-    var nTouched = 0
-    var nFrontier = 0
-    var i = 0
-    while (i < lanes) {
-      val s = vertices(from + i)
-      if (seen(s) == 0L) { touched(nTouched) = s; nTouched += 1; frontier(nFrontier) = s; nFrontier += 1 }
-      seen(s) |= 1L << i
-      visit(s) |= 1L << i
-      over(i) = 0
-      i += 1
-    }
-    var p0 = 0L; var p1 = 0L; var p2 = 0L; var p3 = 0L
-    // Lanes still traversed.
-    var live = if (lanes == MultiHBfs.Lanes) -1L else (1L << lanes) - 1
-    var round = 1
-    while (round <= h && nFrontier > 0 && live != 0L) {
-      val last = round == h
-      var nReached = 0
-      var k = 0
-      while (k < nFrontier) {
-        val u = frontier(k)
-        val bits = visit(u) & live
-        visit(u) = 0L
-        if (bits != 0L) {
-          val a = g.adj(u)
-          var j = 0
-          while (j < a.length) {
-            val w = a(j)
-            if (alive(w)) {
-              val sw = seen(w)
-              val d = bits & ~sw
-              if (d != 0L) {
-                if (sw == 0L) { touched(nTouched) = w; nTouched += 1 }
-                seen(w) = sw | d
-                if (!last) {
-                  if (next(w) == 0L) { reached(nReached) = w; nReached += 1 }
-                  next(w) |= d
-                }
-                // Add 1 to each lane of `d`.
-                val c0 = p0 & d; p0 ^= d
-                if (c0 != 0L) {
-                  val c1 = p1 & c0; p1 ^= c0
-                  if (c1 != 0L) {
-                    val c2 = p2 & c1; p2 ^= c1
-                    if (c2 != 0L) {
-                      var c3 = p3 & c2; p3 ^= c2
-                      while (c3 != 0L) {
-                        val lane = java.lang.Long.numberOfTrailingZeros(c3)
-                        over(lane) += 16
-                        if (over(lane) >= cap) live &= ~(1L << lane)
-                        c3 &= c3 - 1
-                      }
-                    }
-                  }
-                }
-              }
-            }
-            j += 1
-          }
-        }
-        k += 1
-      }
-      val v = visit; visit = next; next = v
-      val f = frontier; frontier = reached; reached = f
-      nFrontier = nReached
-      round += 1
-    }
-    i = 0
-    while (i < nFrontier) { visit(frontier(i)) = 0L; i += 1 }
-    var visits = 0L
-    i = 0
-    while (i < nTouched) {
-      val w = touched(i)
-      visits += java.lang.Long.bitCount(seen(w))
-      seen(w) = 0L
-      i += 1
-    }
-    i = 0
-    while (i < lanes) {
-      val count = over(i) + ((p0 >>> i) & 1L).toInt + 2 * ((p1 >>> i) & 1L).toInt +
-                  4 * ((p2 >>> i) & 1L).toInt + 8 * ((p3 >>> i) & 1L).toInt
-      out(from + i) = if (over(i) >= cap) ~count else count
-      i += 1
-    }
-    budget.merge(visits, lanes)
-    budget.check()
-  }
-
   /** The same traversal as [[run]], read out per reached vertex instead of
-    * per lane: returns m and fills `found`, `foundRound` and `foundLanes`.
+    * per lane: returns m and fills `found`, `foundRound` and `foundLoss`.
     * `found` lists the vertices grouped by the lowest lane that reached
     * them (a stable counting sort of the reach order), so the vertices near
     * one source stay together, as in one [[HBfs.run]] per source. Charges
     * what [[run]] charges.
     */
   def discover(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
-               h: Int, budget: Budget): Int = {
-    val nTouched = traverse(g, alive, vertices, from, lanes, h)
+               h: Int, loss: Boolean, budget: Budget): Int = {
+    val nTouched =
+      if (loss) traverseLoss(g, alive, vertices, from, lanes, h) else traverse(g, alive, vertices, from, lanes, h)
     java.util.Arrays.fill(slot, 0)
     var i = 0
     while (i < nTouched) { slot(java.lang.Long.numberOfTrailingZeros(seen(touched(i))) + 1) += 1; i += 1 }
@@ -306,7 +232,8 @@ final class MultiHBfs(n: Int) {
       val lane = java.lang.Long.numberOfTrailingZeros(s)
       val at = slot(lane)
       slot(lane) = at + 1
-      found(at) = w; foundRound(at) = r; foundLanes(at) = c
+      found(at) = w; foundRound(at) = r
+      if (loss) { foundLoss(at) = lossOf(w) + c; lossOf(w) = 0 } else foundLoss(at) = c
       i += 1
     }
     budget.merge(visits, lanes)
@@ -320,18 +247,8 @@ final class MultiHBfs(n: Int) {
     */
   private def traverse(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
                        h: Int): Int = {
-    require(lanes >= 1 && lanes <= MultiHBfs.Lanes, s"lanes $lanes not in [1, ${MultiHBfs.Lanes}]")
-    var nTouched = 0
-    var nFrontier = 0
-    var i = 0
-    while (i < lanes) {
-      val s = vertices(from + i)
-      if (seen(s) == 0L) { touched(nTouched) = s; nTouched += 1; frontier(nFrontier) = s; nFrontier += 1 }
-      seen(s) |= 1L << i
-      visit(s) |= 1L << i
-      i += 1
-    }
-    roundEnd(0) = nTouched
+    var nTouched = start(vertices, from, lanes, loss = false)
+    var nFrontier = nTouched
     var round = 1
     while (round <= h && nFrontier > 0) {
       val last = round == h
@@ -362,16 +279,159 @@ final class MultiHBfs(n: Int) {
         }
         k += 1
       }
-      val v = visit; visit = next; next = v
-      val f = frontier; frontier = reached; reached = f
-      nFrontier = nReached
-      if (round == roundEnd.length) roundEnd = java.util.Arrays.copyOf(roundEnd, 2 * round)
-      roundEnd(round) = nTouched
+      nFrontier = endRound(round, nReached, nTouched)
       round += 1
     }
-    i = 0
-    while (i < nFrontier) { visit(frontier(i)) = 0L; i += 1 }
+    clearFrontier(nFrontier)
     nTouched
+  }
+
+  /** [[traverse]] that also leaves every reached vertex's L, less the
+    * number of its lanes, in `lossOf`. A loop of its own, so that the
+    * h-degree and count traversals compile as before.
+    */
+  private def traverseLoss(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
+                           h: Int): Int = {
+    var nTouched = start(vertices, from, lanes, loss = true)
+    var nFrontier = nTouched
+    // No radius-0 ball holds an h-neighbour.
+    radii = 0
+    snapshot()
+    logged = 0
+    var round = 1
+    while (round <= h && nFrontier > 0) {
+      val last = round == h
+      // The lanes that reach a vertex now are at distance `round` from it;
+      // their balls of radius h − round are known if h − round < round.
+      val radius = h - round
+      val known = radius < round
+      var nReached = 0
+      var k = 0
+      while (k < nFrontier) {
+        val u = frontier(k)
+        val bits = visit(u)
+        visit(u) = 0L
+        val a = g.adj(u)
+        var j = 0
+        while (j < a.length) {
+          val w = a(j)
+          if (alive(w)) {
+            val sw = seen(w)
+            val d = bits & ~sw
+            if (d != 0L) {
+              if (sw == 0L) { touched(nTouched) = w; nTouched += 1 }
+              seen(w) = sw | d
+              if (!last) {
+                if (next(w) == 0L) { reached(nReached) = w; nReached += 1 }
+                next(w) |= d
+                if (known) lossOf(w) += ballSum(d, radius)
+                else defer(w, d, radius)
+              }
+            }
+          }
+          j += 1
+        }
+        k += 1
+      }
+      nFrontier = endRound(round, nReached, nTouched)
+      if (!last) {
+        // The round's new lanes grow their balls to radius `round`.
+        k = 0
+        while (k < nFrontier) { count(visit(frontier(k))); k += 1 }
+        snapshot()
+      }
+      round += 1
+    }
+    clearFrontier(nFrontier)
+    // A ball past the last round taken is the last one.
+    var i = 0
+    while (i < logged) {
+      lossOf(logW(i)) += ballSum(logLanes(i), math.min(logRadius(i), radii - 1))
+      i += 1
+    }
+    clearCounts()
+    nTouched
+  }
+
+  /** Puts the sources in `seen`, `visit`, `touched` and the frontier, and
+    * with `loss` takes each source lane's 1 off its `lossOf` (it is at
+    * distance 0 and adds nothing). Returns the number of distinct sources.
+    */
+  private def start(vertices: Array[Int], from: Int, lanes: Int, loss: Boolean): Int = {
+    require(lanes >= 1 && lanes <= MultiHBfs.Lanes, s"lanes $lanes not in [1, ${MultiHBfs.Lanes}]")
+    var m = 0
+    var i = 0
+    while (i < lanes) {
+      val s = vertices(from + i)
+      if (seen(s) == 0L) { touched(m) = s; frontier(m) = s; m += 1 }
+      seen(s) |= 1L << i
+      visit(s) |= 1L << i
+      if (loss) lossOf(s) -= 1
+      i += 1
+    }
+    roundEnd(0) = m
+    m
+  }
+
+  /** Ends round `round`: the reached vertices become the frontier, the
+    * round's end in `touched` is recorded. Returns the new frontier size. */
+  private def endRound(round: Int, nReached: Int, nTouched: Int): Int = {
+    val v = visit; visit = next; next = v
+    val f = frontier; frontier = reached; reached = f
+    if (round == roundEnd.length) roundEnd = java.util.Arrays.copyOf(roundEnd, 2 * round)
+    roundEnd(round) = nTouched
+    nReached
+  }
+
+  private def clearFrontier(nFrontier: Int): Unit = {
+    var i = 0
+    while (i < nFrontier) { visit(frontier(i)) = 0L; i += 1 }
+  }
+
+  /** Adds 1 to the count of each lane of `lanes`. */
+  private def count(lanes: Long): Unit = {
+    var carry = lanes
+    var p = 0
+    while (carry != 0L) {
+      val c = planes(p)
+      planes(p) = c ^ carry
+      carry &= c
+      p += 1
+    }
+    if (p > inUse) inUse = p
+  }
+
+  private def clearCounts(): Unit = { java.util.Arrays.fill(planes, 0, inUse, 0L); inUse = 0 }
+
+  /** Takes the counters as the planes of the next radius. */
+  private def snapshot(): Unit = {
+    if (radii == ballTop.length) {
+      ballTop = java.util.Arrays.copyOf(ballTop, 2 * radii)
+      ball = java.util.Arrays.copyOf(ball, 64 * radii)
+    }
+    System.arraycopy(planes, 0, ball, 32 * radii, inUse)
+    ballTop(radii) = inUse
+    radii += 1
+  }
+
+  /** Σ over the lanes of `d` of their h-neighbours within `radius`. */
+  private def ballSum(d: Long, radius: Int): Int = {
+    val base = 32 * radius
+    var s = 0
+    var p = 0
+    while (p < ballTop(radius)) { s += java.lang.Long.bitCount(d & ball(base + p)) << p; p += 1 }
+    s
+  }
+
+  /** Logs lanes `d` reaching w, whose balls of `radius` are not known yet. */
+  private def defer(w: Int, d: Long, radius: Int): Unit = {
+    if (logged == logW.length) {
+      logW = java.util.Arrays.copyOf(logW, 2 * logged)
+      logLanes = java.util.Arrays.copyOf(logLanes, 2 * logged)
+      logRadius = java.util.Arrays.copyOf(logRadius, 2 * logged)
+    }
+    logW(logged) = w; logLanes(logged) = d; logRadius(logged) = radius
+    logged += 1
   }
 }
 

@@ -16,23 +16,6 @@ trait HDegEngine {
   def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget): Array[Int]
 
-  /** [[batchHDeg]] with a cap (h-LB's capped re-measures, see
-    * [[CoreDecomp]]): each vertex's h-BFS may stop once it has counted
-    * `cap` or more h-neighbours, and its entry then holds the bitwise
-    * complement `~count` (negative) of that count, which lies in [cap,
-    * h-degree]; every other entry is the exact h-degree. Where a lane of
-    * the 64-lane kernel stops depends on its block, so the blocks start at
-    * the multiples of 64 in `vertices` on every engine: counts and visits
-    * are then the same on every engine and thread count. This default runs
-    * the batch on the caller, through [[EngineKernels.hDegRange]].
-    */
-  def batchHDegCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                      h: Int, cap: Int, budget: Budget): Array[Int] = {
-    val out = new Array[Int](vertices.length)
-    EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, vertices.length, cap)
-    out
-  }
-
   /** For each vertex v in `vertices`: max of `value` over v's r-neighborhood
     * including v itself — the kernel of the LB2 bound (Obs. 2).
     *
@@ -80,16 +63,18 @@ trait HDegEngine {
     * sources `sources(0 until np)` (a round's peeled vertices, all still
     * alive), in blocks of up to 64 sources through [[MultiHBfs.discover]]
     * and a tail under 8 through per-vertex [[HBfs.run]]
-    * ([[EngineKernels.discoverRange]]). The output goes to `sink` in block
-    * order and always on the calling thread. [[LocalEngine]] may run the
-    * blocks on its pool and hand the sink their copied output a chunk of
-    * blocks at a time, so the sink sees the same entries in the same order
-    * on every engine, not the same calls. This default runs every block on
-    * the caller, on its [[EngineScratch]], and allocates nothing.
+    * ([[EngineKernels.discoverRange]]). Each entry carries the number of
+    * sources that reached its vertex or, with `loss`, the vertex's loss
+    * bound L over them. The output goes to `sink` in block order and always
+    * on the calling thread. [[LocalEngine]] may run the blocks on its pool
+    * and hand the sink their copied output a chunk of blocks at a time, so
+    * the sink sees the same entries in the same order on every engine, not
+    * the same calls. This default runs every block on the caller, on its
+    * [[EngineScratch]], and allocates nothing.
     */
   def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
-                    h: Int, budget: Budget, sink: DiscoverySink): Unit =
-    EngineKernels.discoverRange(g, alive, sources, 0, np, h, budget, EngineScratch.get(g.n), sink)
+                    h: Int, loss: Boolean, budget: Budget, sink: DiscoverySink): Unit =
+    EngineKernels.discoverRange(g, alive, sources, 0, np, h, loss, budget, EngineScratch.get(g.n), sink)
 
   /** Release any pooled resources (thread pools). */
   def shutdown(): Unit = ()
@@ -97,12 +82,14 @@ trait HDegEngine {
 
 /** Receives a round discovery's output ([[HDegEngine.discoverRound]]), in
   * the order of the round's blocks: for `from <= j < until`, `found(j)` was
-  * reached at distance `dist(j)` from the nearest of `lanes(j)` sources of
-  * its block (one each when `lanes` is null). The arrays are the kernel's
-  * or a [[FoundLog]]'s and are reused after the call returns.
+  * reached at distance `dist(j)` from the nearest source of its block, and
+  * `loss(j)` is the number of the block's sources that reached it or, in a
+  * discovery with `loss`, its loss bound L over them (1 each when `loss` is
+  * null). The arrays are the kernel's or a [[FoundLog]]'s and are reused
+  * after the call returns.
   */
 trait DiscoverySink {
-  def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit
+  def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit
 }
 
 /** One thread's copy of the discovery output of the chunks it ran in a
@@ -112,7 +99,7 @@ trait DiscoverySink {
 private final class FoundLog extends DiscoverySink {
   var found = new Array[Int](1024)
   var dist = new Array[Int](1024)
-  var lanes = new Array[Int](1024)
+  var loss = new Array[Int](1024)
   var size = 0
 
   def reached(f: Array[Int], d: Array[Int], l: Array[Int], from: Int, until: Int): Unit = {
@@ -121,12 +108,12 @@ private final class FoundLog extends DiscoverySink {
       val cap = math.max(2 * found.length, size + m)
       found = java.util.Arrays.copyOf(found, cap)
       dist = java.util.Arrays.copyOf(dist, cap)
-      lanes = java.util.Arrays.copyOf(lanes, cap)
+      loss = java.util.Arrays.copyOf(loss, cap)
     }
     System.arraycopy(f, from, found, size, m)
     System.arraycopy(d, from, dist, size, m)
-    if (l == null) java.util.Arrays.fill(lanes, size, size + m, 1)
-    else System.arraycopy(l, from, lanes, size, m)
+    if (l == null) java.util.Arrays.fill(loss, size, size + m, 1)
+    else System.arraycopy(l, from, loss, size, m)
     size += m
   }
 }
@@ -168,48 +155,43 @@ private[repro] object EngineKernels {
   private[core] final val MinLanes = 8
 
   /** The h-degree kernel shared by the engines: blocks of up to 64 vertices
-    * go through [[MultiHBfs]], and a batch or tail under 8 vertices
+    * go through [[MultiHBfs.run]], and a batch or tail under 8 vertices
     * through per-vertex [[HBfs.run]]. Visits and BFS counts are the same
-    * either way. With a `cap` (below `Int.MaxValue`), the blocks run
-    * [[MultiHBfs.runCapped]] and the tail [[HBfs.run]] with the cap, and
-    * an entry stopped by the cap reads `~count`. Exact blocks keep
-    * [[MultiHBfs.run]]: `runCapped` with no reachable cap gives the same
-    * entries and visits but is slower (see [[MultiHBfs]]).
+    * either way.
     */
   def hDegRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget,
-                s: EngineScratch, out: Array[Int], from: Int, until: Int,
-                cap: Int = Int.MaxValue): Unit = {
+                s: EngineScratch, out: Array[Int], from: Int, until: Int): Unit = {
     var i = from
     while (until - i >= MinLanes) {
       val lanes = math.min(MultiHBfs.Lanes, until - i)
-      if (cap == Int.MaxValue) s.multi.run(g, alive, vertices, i, lanes, h, budget, out)
-      else s.multi.runCapped(g, alive, vertices, i, lanes, h, cap, budget, out)
+      s.multi.run(g, alive, vertices, i, lanes, h, budget, out)
       i += lanes
     }
     while (i < until) {
-      out(i) = s.bfs.run(g, alive, vertices(i), h, budget, cap)
+      out(i) = s.bfs.run(g, alive, vertices(i), h, budget)
       i += 1
     }
   }
 
   /** The one round discovery loop: the sources `sources(from until until)`
     * in blocks by [[MinLanes]], as [[hDegRange]] cuts them, each block's
-    * output handed to `sink` before the next block runs. With `from` a
-    * multiple of 64, a range's blocks are those of the whole round.
+    * output handed to `sink` before the next block runs; with `loss`, a
+    * tail source's entries carry [[HBfs.losses]]. With `from` a multiple of
+    * 64, a range's blocks are those of the whole round.
     */
   def discoverRange(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], from: Int, until: Int,
-                    h: Int, budget: Budget, s: EngineScratch, sink: DiscoverySink): Unit = {
+                    h: Int, loss: Boolean, budget: Budget, s: EngineScratch, sink: DiscoverySink): Unit = {
     var i = from
     while (until - i >= MinLanes) {
       val lanes = math.min(MultiHBfs.Lanes, until - i)
-      val m = s.multi.discover(g, alive, sources, i, lanes, h, budget)
-      sink.reached(s.multi.found, s.multi.foundRound, s.multi.foundLanes, 0, m)
+      val m = s.multi.discover(g, alive, sources, i, lanes, h, loss, budget)
+      sink.reached(s.multi.found, s.multi.foundRound, s.multi.foundLoss, 0, m)
       i += lanes
     }
     while (i < until) {
       val m = s.bfs.run(g, alive, sources(i), h, budget)
-      sink.reached(s.bfs.nbrs, s.bfs.nbrDist, null, 0, m)
+      sink.reached(s.bfs.nbrs, s.bfs.nbrDist, if (loss) s.bfs.losses(h) else null, 0, m)
       i += 1
     }
   }
@@ -218,16 +200,16 @@ private[repro] object EngineKernels {
 /** The local engine: §4.6's "different h-BFS traversals to different
   * processors" on one fixed pool, through one dispatch ([[onPool]]) for
   * both of its kinds of work:
-  *  - an h-degree batch, exact or capped: [[EngineKernels.hDegRange]]
-  *    writes each chunk's entries into the batch's output in place;
+  *  - an h-degree batch: [[EngineKernels.hDegRange]] writes each chunk's
+  *    entries into the batch's output in place;
   *  - a round discovery ([[discoverRound]]): [[EngineKernels.discoverRange]]
   *    runs the caller's first chunk straight into the round's sink, and
   *    every other chunk into a [[FoundLog]] of the thread that ran it; the
   *    caller then hands the logs' chunks to the sink in chunk order.
   * A batch or round of fewer than [[LocalEngine.MinPooled]] vertices, and
-  * every one when `threads` is 1, is the trait's loop on the caller, on its
-  * [[EngineScratch]], and allocates nothing new. The chunks are whole
-  * 64-vertex blocks, so capped counts, visits and the sink's entries and
+  * every one when `threads` is 1, runs on the caller, on its
+  * [[EngineScratch]], and allocates nothing new but a batch's output. The
+  * chunks are whole 64-vertex blocks, so visits and the sink's entries and
   * their order are those of a run on the caller. LB2 batches are the
   * trait's max pass, on the caller.
   */
@@ -235,28 +217,22 @@ class LocalEngine private[repro] (threads: Int) extends HDegEngine {
   require(threads >= 1, s"threads = $threads")
   private val pool = if (threads > 1) Executors.newFixedThreadPool(threads) else null
 
-  /** An exact batch: one with no cap. */
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                         h: Int, budget: Budget): Array[Int] =
-    batchHDegCapped(g, alive, vertices, h, Int.MaxValue, budget)
-
-  override def batchHDegCapped(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                               h: Int, cap: Int, budget: Budget): Array[Int] =
+                         h: Int, budget: Budget): Array[Int] = {
+    val out = new Array[Int](vertices.length)
     if (pool == null || vertices.length < LocalEngine.MinPooled)
-      super.batchHDegCapped(g, alive, vertices, h, cap, budget)
-    else {
-      val out = new Array[Int](vertices.length)
-      onPool(vertices.length, null) { (from, until, _) =>
-        EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, from, until, cap)
-      }
-      out
+      EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, 0, vertices.length)
+    else onPool(vertices.length, null) { (from, until, _) =>
+      EngineKernels.hDegRange(g, alive, vertices, h, budget, EngineScratch.get(g.n), out, from, until)
     }
+    out
+  }
 
   override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
-                             h: Int, budget: Budget, sink: DiscoverySink): Unit =
-    if (pool == null || np < LocalEngine.MinPooled) super.discoverRound(g, alive, sources, np, h, budget, sink)
+                             h: Int, loss: Boolean, budget: Budget, sink: DiscoverySink): Unit =
+    if (pool == null || np < LocalEngine.MinPooled) super.discoverRound(g, alive, sources, np, h, loss, budget, sink)
     else onPool(np, sink) { (from, until, to) =>
-      EngineKernels.discoverRange(g, alive, sources, from, until, h, budget, EngineScratch.get(g.n), to)
+      EngineKernels.discoverRange(g, alive, sources, from, until, h, loss, budget, EngineScratch.get(g.n), to)
     }
 
   /** The engine's one pool dispatch, whatever `len`: `run(from, until, to)`
@@ -296,7 +272,7 @@ class LocalEngine private[repro] (threads: Int) extends HDegEngine {
     (caller +: workers.map(f => Try(f.get()).recoverWith { case e: ExecutionException => Failure(e.getCause) }))
       .foreach(_.get)
     if (sink != null)
-      for (c <- 1 until chunks) sink.reached(logs(c).found, logs(c).dist, logs(c).lanes, cuts(2 * c), cuts(2 * c + 1))
+      for (c <- 1 until chunks) sink.reached(logs(c).found, logs(c).dist, logs(c).loss, cuts(2 * c), cuts(2 * c + 1))
   }
 
   override def shutdown(): Unit = if (pool != null) {

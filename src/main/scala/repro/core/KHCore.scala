@@ -27,9 +27,10 @@ object Algo {
   * the cost the later algorithms attack; h-LB buckets every vertex at its
   * LB2 (LB1 for the Table 5 ablation) with `setLB` raised, so an h-degree
   * is materialized only when the vertex's bucket is reached. Outside
-  * `paperLiteral`, h-LB also caps its re-measures (see [[CoreDecomp]]): a
-  * flagged vertex's h-BFS stops once it proves the vertex survives the
-  * level.
+  * `paperLiteral`, h-LB and the h-LB+UB intervals carry that laziness into
+  * the peel (see [[CoreDecomp]]): a vertex near a peeled set drops by a
+  * bound of its loss that discovery computes, and is measured again only
+  * when its bucket is reached.
   *
   * h-LB and h-LB+UB (its CoreDecomp and its UpperBound) peel each bucket
   * in level-synchronous rounds by default; `paperLiteral` selects Alg. 3

@@ -77,27 +77,6 @@ class HBfsSpec extends AnyFunSuite {
     }
   }
 
-  test("a capped run is exact or counts [cap, h-degree], with no more visits") {
-    val rnd = new Random(17)
-    for (trial <- 1 to 12) {
-      val g = if (trial % 2 == 0) GraphGen.randomConnected(40, 3.0, trial) else GraphGen.ba(40, 3, 2, trial)
-      val alive = Array.fill(g.n)(rnd.nextDouble() > 0.2)
-      val bfs = new HBfs(g.n)
-      for (h <- 1 to 4; v <- 0 until g.n) {
-        val exact = Budget.unlimited()
-        val e = bfs.run(g, alive, v, h, exact)
-        for (cap <- 1 to g.n) {
-          val b = Budget.unlimited()
-          val d = bfs.run(g, alive, v, h, b, cap)
-          val clue = s"trial=$trial v=$v h=$h cap=$cap"
-          if (d >= 0) assert(d == e, clue)
-          else assert(~d >= cap && ~d <= e && bfs.nbrCount == ~d, clue)
-          assert(b.visits <= exact.visits && b.bfsCount == 1, clue)
-        }
-      }
-    }
-  }
-
   test("runs across the stamp wrap equal a fresh HBfs") {
     val g = GraphGen.randomConnected(60, 3.0, 11)
     val alive = Array.fill(g.n)(true)

@@ -12,9 +12,9 @@ import scala.jdk.CollectionConverters._
   * [[HBfs.run]] per source: same h-degrees, same visits, same BFS count,
   * on any graph, alive mask and batch (dead and repeated sources included);
   * its discovery output gives each reached vertex the minimum distance and
-  * the number of sources that the per-source runs give. A capped run gives
-  * each source its exact h-degree or a count in [cap, h-degree], for no
-  * more visits, and the same answer on every thread count.
+  * the number of sources that the per-source runs give, or the loss bound
+  * L that their balls give, through the 64-lane kernel, the per-vertex
+  * tail and a pooled round alike.
   * The engines keep their h-BFS scratch per thread, not per engine:
   * building one is free, a thread's scratch grows to the largest graph it
   * has served and is reused, and a one-thread engine starts no thread.
@@ -132,8 +132,8 @@ class MultiHBfsSpec extends AnyFunSuite {
         // Twice, and then as h-degrees: the reset after a block must be complete.
         for (_ <- 1 to 2) {
           val b = Budget.unlimited()
-          val m = ms.discover(c.g, c.alive, batch, from, lanes, c.h, b)
-          val got = (0 until m).map(i => ms.found(i) -> ((ms.foundRound(i), ms.foundLanes(i))))
+          val m = ms.discover(c.g, c.alive, batch, from, lanes, c.h, loss = false, b)
+          val got = (0 until m).map(i => ms.found(i) -> ((ms.foundRound(i), ms.foundLoss(i))))
           assert(got.length == reach.size && got.toMap == reach, s"$c block=$lanes")
           assert((b.visits, b.bfsCount) == ((visits, bfsCount)), s"$c block=$lanes")
           val lanesInOrder = got.map { case (u, _) => firstLane(u) }
@@ -168,59 +168,104 @@ class MultiHBfsSpec extends AnyFunSuite {
     } finally threaded.shutdown()
   }
 
-  /** Checks capped entries against the exact h-degrees: an entry ≥ 0 is
-    * exact, a complemented one lies in [cap, exact]. */
-  private def assertCapped(got: Seq[Int], exact: Seq[Int], cap: Int, clue: => String): Unit = {
-    assert(got.length == exact.length, clue)
-    for ((d, e) <- got.zip(exact))
-      if (d >= 0) assert(d == e, clue)
-      else assert(~d >= cap && ~d <= e, s"$clue: capped ${~d} not in [$cap, $e]")
+  /** The discovery entries (vertex, distance, loss bound) that one group
+    * of sources should give, from one per-vertex h-BFS per source: a
+    * 64-lane block lists every vertex some source reaches, the sources
+    * included, at its minimum distance, with L = Σ over the sources f that
+    * reach it at distance d ≥ 1 of |B̄(f, h − d)|; a one-source tail group
+    * lists the source's h-neighbours. */
+  private def expectedLoss(g: AdjGraph, alive: Array[Boolean], group: Seq[Int], h: Int,
+                           block: Boolean): Seq[(Int, Int, Int)] = {
+    val bfs = new HBfs(g.n)
+    val reach = scala.collection.mutable.Map.empty[Int, (Int, Int)]
+    def add(u: Int, d: Int, l: Int): Unit =
+      reach(u) = reach.get(u).fold((d, l)) { case (d0, l0) => (math.min(d0, d), l0 + l) }
+    for (s <- group) {
+      val cnt = bfs.run(g, alive, s, h, Budget.unlimited())
+      val dists = (0 until cnt).map(bfs.nbrDist)
+      def ball(r: Int) = 1 + dists.count(_ <= r)
+      if (block) add(s, 0, 0)
+      for (j <- 0 until cnt) add(bfs.nbrs(j), dists(j), ball(h - dists(j)))
+    }
+    reach.toSeq.map { case (u, (d, l)) => (u, d, l) }
   }
 
-  test("property: a capped block's entries are exact or in [cap, exact], with no more visits") {
-    forAllSampled(genCase, cases = 20) { c =>
+  /** [[expectedLoss]] of a whole round, cut into groups as
+    * [[EngineKernels.discoverRange]] cuts it. */
+  private def expectedRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], h: Int): Seq[(Int, Int, Int)] = {
+    val out = Seq.newBuilder[(Int, Int, Int)]
+    var i = 0
+    while (sources.length - i >= EngineKernels.MinLanes) {
+      val lanes = math.min(MultiHBfs.Lanes, sources.length - i)
+      out ++= expectedLoss(g, alive, sources.slice(i, i + lanes).toSeq, h, block = true)
+      i += lanes
+    }
+    for (s <- sources.drop(i)) out ++= expectedLoss(g, alive, Seq(s), h, block = false)
+    out.result()
+  }
+
+  /** Every entry a discovery sink gets, in order. */
+  private final class Recorder extends DiscoverySink {
+    val entries = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Int)]
+    def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit =
+      for (j <- from until until) entries += ((found(j), dist(j), if (loss == null) 1 else loss(j)))
+  }
+
+  /** Random graphs with distinct random sources for rounds, at h = 1..5. */
+  private val genRound: Gen[(Case, Int, Array[Int])] = for {
+    c <- genCase
+    h <- Gen.choose(1, 5)
+    shuffleSeed <- Gen.choose(0L, 100000L)
+  } yield (c, h, new scala.util.Random(shuffleSeed).shuffle((0 until c.g.n).toVector).toArray)
+
+  test("property: a loss-bound block gives each vertex L over its lanes' balls") {
+    forAllSampled(genRound) { case (c, h, perm) =>
       val ms = new MultiHBfs(c.g.n)
-      for (batch <- c.batches if batch.length <= 64) {
-        val (exact, exactVisits, exactBfs) = perVertex(c.g, c.alive, batch, c.h)
-        for (cap <- 1 to c.g.n + 1) {
-          val out = Array.fill(batch.length)(-1)
+      val blocks = c.batches.filter(_.length <= 64).map(b => (b, 0, b.length)) ++
+        (1 to 64 by 9).map(l => (perm, 0, math.min(l, perm.length)))
+      for ((batch, from, lanes) <- blocks) {
+        val sources = batch.slice(from, from + lanes)
+        val expected = expectedLoss(c.g, c.alive, sources.toSeq, h, block = true)
+        val (_, visits, bfsCount) = perVertex(c.g, c.alive, sources, h)
+        // Twice: the loss planes and log must be reset after a block.
+        for (_ <- 1 to 2) {
           val b = Budget.unlimited()
-          ms.runCapped(c.g, c.alive, batch, 0, batch.length, c.h, cap, b, out)
-          assertCapped(out.toSeq, exact, cap, s"$c batch=${batch.length} cap=$cap")
-          assert(b.visits <= exactVisits && b.bfsCount == exactBfs, s"$c batch=${batch.length} cap=$cap")
+          val m = ms.discover(c.g, c.alive, batch, from, lanes, h, loss = true, b)
+          val got = (0 until m).map(i => (ms.found(i), ms.foundRound(i), ms.foundLoss(i)))
+          assert(got.sorted == expected.sorted, s"$c h=$h block=$lanes")
+          assert((b.visits, b.bfsCount) == ((visits, bfsCount)), s"$c h=$h block=$lanes")
         }
-      }
-      // The scratchpad is clean after capped blocks.
-      for (batch <- c.batches if batch.length <= 64) {
-        val out = new Array[Int](batch.length)
-        ms.run(c.g, c.alive, batch, 0, batch.length, c.h, Budget.unlimited(), out)
-        assert(out.toSeq == perVertex(c.g, c.alive, batch, c.h)._1, s"$c batch=${batch.length}")
       }
     }
   }
 
-  test("property: capped batches are exact or in [cap, exact], and equal on 1 and 4 threads") {
-    val threaded = new ThreadedEngine(120, threads = 4)
-    try {
-      forAllSampled(genCase, cases = 20) { c =>
-        val seq = new SequentialEngine(c.g.n)
-        val big = Array.tabulate(1000)(i => c.batches.last(i % 200))
-        for (batch <- c.batches :+ big) {
-          val (exact, exactVisits, exactBfs) = perVertex(c.g, c.alive, batch, c.h)
-          for (cap <- 1 to c.g.n + 1 by (if (batch.length > 64) 7 else 1)) {
-            val bs = Budget.unlimited()
-            val s = seq.batchHDegCapped(c.g, c.alive, batch, c.h, cap, bs)
-            val bt = Budget.unlimited()
-            val t = threaded.batchHDegCapped(c.g, c.alive, batch, c.h, cap, bt)
-            val clue = s"$c batch=${batch.length} cap=$cap"
-            assertCapped(s.toSeq, exact, cap, clue)
-            assert(s.toSeq == t.toSeq, clue)
-            assert((bs.visits, bs.bfsCount) == ((bt.visits, bt.bfsCount)), clue)
-            assert(bs.visits <= exactVisits && bs.bfsCount == exactBfs, clue)
-          }
-        }
+  test("property: loss bounds through the per-vertex tail and whole rounds") {
+    forAllSampled(genRound) { case (c, h, perm) =>
+      val s = EngineScratch.get(c.g.n)
+      for (len <- Seq(1, 5, 7, 8, 70, 135) if len <= perm.length) {
+        val sources = perm.take(len)
+        val rec = new Recorder
+        EngineKernels.discoverRange(c.g, c.alive, sources, 0, len, h, loss = true, Budget.unlimited(), s, rec)
+        assert(rec.entries.sorted == expectedRound(c.g, c.alive, sources, h).sorted, s"$c h=$h len=$len")
       }
-    } finally threaded.shutdown()
+    }
+  }
+
+  test("property: a pooled round gives the caller's loss entries in order") {
+    val pooled = new LocalEngine(4)
+    try {
+      for (seed <- 1 to 4; h <- 2 to 5) {
+        val g = if (seed % 2 == 0) GraphGen.ba(600, 3, 2, seed) else GraphGen.gridRoad(25, 25, 0.75, seed)
+        val rnd = new scala.util.Random(seed)
+        val alive = Array.fill(g.n)(rnd.nextDouble() < 0.9)
+        val sources = rnd.shuffle((0 until g.n).filter(alive).toVector).take(300).toArray
+        val (a, b) = (new Recorder, new Recorder)
+        new SequentialEngine(g.n).discoverRound(g, alive, sources, sources.length, h, loss = true, Budget.unlimited(), a)
+        pooled.discoverRound(g, alive, sources, sources.length, h, loss = true, Budget.unlimited(), b)
+        assert(b.entries == a.entries, s"seed=$seed h=$h")
+        assert(a.entries.sorted == expectedRound(g, alive, sources, h).sorted, s"seed=$seed h=$h")
+      }
+    } finally pooled.shutdown()
   }
 
   test("MultiHBfs rejects an empty or wider-than-64 block") {
@@ -230,8 +275,7 @@ class MultiHBfsSpec extends AnyFunSuite {
     val alive = Array.fill(100)(true)
     intercept[IllegalArgumentException](ms.run(g, alive, all, 0, 0, 2, Budget.unlimited(), new Array[Int](100)))
     intercept[IllegalArgumentException](ms.run(g, alive, all, 0, 65, 2, Budget.unlimited(), new Array[Int](100)))
-    intercept[IllegalArgumentException](ms.runCapped(g, alive, all, 0, 0, 2, 3, Budget.unlimited(), new Array[Int](100)))
-    intercept[IllegalArgumentException](ms.runCapped(g, alive, all, 0, 65, 2, 3, Budget.unlimited(), new Array[Int](100)))
+    intercept[IllegalArgumentException](ms.discover(g, alive, all, 0, 65, 2, loss = true, Budget.unlimited()))
   }
 
   test("a visit budget raises BudgetExceeded from the 64-lane path, at most one block late") {

@@ -9,9 +9,9 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** The local engine's one pool dispatch ([[LocalEngine.onPool]]): an
-  * h-degree batch, exact or capped, or a round discovery of two or more
-  * 64-lane blocks runs in chunks of whole blocks on the caller and the
-  * engine's threads. A batch must get the caller's entries, and a round's
+  * h-degree batch or a round discovery, with loss bounds or without, of
+  * two or more 64-lane blocks runs in chunks of whole blocks on the caller
+  * and the engine's threads. A batch must get the caller's entries, and a round's
   * sink the caller's entries in the caller's order, so that core, order,
   * visits and BFS count are the same on every thread count; a budget that
   * trips inside a pooled batch or round must raise [[BudgetExceeded]] and
@@ -29,15 +29,15 @@ class ParallelRoundSpec extends AnyFunSuite {
     val failedRounds = new AtomicLong
     val failedBatches = new AtomicLong
     override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
-                               h: Int, budget: Budget, sink: DiscoverySink): Unit = {
+                               h: Int, loss: Boolean, budget: Budget, sink: DiscoverySink): Unit = {
       val s = EngineScratch.get(g.n)
       val counting = new DiscoverySink {
-        def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit = {
+        def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit = {
           if ((found ne s.multi.found) && (found ne s.bfs.nbrs)) fromLogs.incrementAndGet()
-          sink.reached(found, dist, lanes, from, until)
+          sink.reached(found, dist, loss, from, until)
         }
       }
-      try super.discoverRound(g, alive, sources, np, h, budget, counting)
+      try super.discoverRound(g, alive, sources, np, h, loss, budget, counting)
       catch {
         case e: BudgetExceeded =>
           if (np >= LocalEngine.MinPooled) failedRounds.incrementAndGet()
@@ -57,8 +57,8 @@ class ParallelRoundSpec extends AnyFunSuite {
   /** Every entry a sink gets, in order. */
   private final class Recorder extends DiscoverySink {
     val entries = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    def reached(found: Array[Int], dist: Array[Int], lanes: Array[Int], from: Int, until: Int): Unit =
-      for (j <- from until until) entries += ((found(j), dist(j), if (lanes == null) 1 else lanes(j)))
+    def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit =
+      for (j <- from until until) entries += ((found(j), dist(j), if (loss == null) 1 else loss(j)))
   }
 
   /** The forced-size cases: a random 90%-alive mask on an 80 × 80 grid
@@ -88,30 +88,30 @@ class ParallelRoundSpec extends AnyFunSuite {
   test("pooled discovery hands the sink the caller's entries in the caller's order, at any round size") {
     val seq = new SequentialEngine(0)
     forcedCases { (label, eng, g, alive, sources, h) =>
-      val (a, b) = (new Recorder, new Recorder)
-      val (ba, bb) = (Budget.unlimited(), Budget.unlimited())
-      seq.discoverRound(g, alive, sources, sources.length, h, ba, a)
-      eng.onPool(sources.length, b) { (from, until, to) =>
-        EngineKernels.discoverRange(g, alive, sources, from, until, h, bb, EngineScratch.get(g.n), to)
+      for (loss <- Seq(false, true)) {
+        val (a, b) = (new Recorder, new Recorder)
+        val (ba, bb) = (Budget.unlimited(), Budget.unlimited())
+        seq.discoverRound(g, alive, sources, sources.length, h, loss, ba, a)
+        eng.onPool(sources.length, b) { (from, until, to) =>
+          EngineKernels.discoverRange(g, alive, sources, from, until, h, loss, bb, EngineScratch.get(g.n), to)
+        }
+        assert(a.entries == b.entries, s"$label loss=$loss")
+        assert(counters(ba) == counters(bb), s"$label loss=$loss: visits, BFS")
       }
-      assert(a.entries == b.entries, label)
-      assert(counters(ba) == counters(bb), s"$label: visits, BFS")
     }
   }
 
-  test("pooled h-degree batches, exact and capped, give the caller's entries at any batch size") {
+  test("pooled h-degree batches give the caller's entries at any size") {
     val seq = new SequentialEngine(0)
     forcedCases { (label, eng, g, alive, vertices, h) =>
-      for (cap <- Seq(Int.MaxValue, h + 3)) {
-        val (ba, bb) = (Budget.unlimited(), Budget.unlimited())
-        val a = seq.batchHDegCapped(g, alive, vertices, h, cap, ba)
-        val b = new Array[Int](vertices.length)
-        eng.onPool(vertices.length, null) { (from, until, _) =>
-          EngineKernels.hDegRange(g, alive, vertices, h, bb, EngineScratch.get(g.n), b, from, until, cap)
-        }
-        assert(a.toSeq == b.toSeq, s"$label cap=$cap")
-        assert(counters(ba) == counters(bb), s"$label cap=$cap: visits, BFS")
+      val (ba, bb) = (Budget.unlimited(), Budget.unlimited())
+      val a = seq.batchHDeg(g, alive, vertices, h, ba)
+      val b = new Array[Int](vertices.length)
+      eng.onPool(vertices.length, null) { (from, until, _) =>
+        EngineKernels.hDegRange(g, alive, vertices, h, bb, EngineScratch.get(g.n), b, from, until)
       }
+      assert(a.toSeq == b.toSeq, label)
+      assert(counters(ba) == counters(bb), s"$label: visits, BFS")
     }
   }
 
@@ -201,9 +201,9 @@ class ParallelRoundSpec extends AnyFunSuite {
         super.batchHDeg(g, alive, vertices, r, budget)
       }
       override def discoverRound(g: AdjGraph, alive: Array[Boolean], sources: Array[Int], np: Int,
-                                 r: Int, budget: Budget, sink: DiscoverySink): Unit = {
+                                 r: Int, loss: Boolean, budget: Budget, sink: DiscoverySink): Unit = {
         if (before < 0 && first(true, np, r)) before = budget.visits
-        super.discoverRound(g, alive, sources, np, r, budget, sink)
+        super.discoverRound(g, alive, sources, np, r, loss, budget, sink)
       }
     }
     KHCore.decompose(g, h, algo, Some(probe))
