@@ -162,8 +162,7 @@ object CoreDecomp {
     final def reached(found: Array[Int], dist: Array[Int], loss: Array[Int], from: Int, until: Int): Unit = {
       var nl = listEnd
       var j = from
-      if (loss == null) while (j < until) { nl = reach(found(j), dist(j), 1, nl); j += 1 }
-      else while (j < until) { nl = reach(found(j), dist(j), loss(j), nl); j += 1 }
+      while (j < until) { nl = reach(found(j), dist(j), if (loss == null) 1 else loss(j), nl); j += 1 }
       listEnd = nl
     }
 

@@ -107,14 +107,18 @@ final class HBfs(n: Int) {
   * reach w of |B̄(f, h − d(w,f))|, f's closed ball of that radius (see
   * [[CoreDecomp]]). Each lane contributes 1 for w itself, which the
   * read-out adds as the number of lanes of w, plus the h-neighbours in its
-  * ball. The traversal keeps every lane's count of h-neighbours in
-  * bit-sliced counters and snapshots them after each round ρ < h as the
-  * radius-ρ planes. The lanes `d` that newly reach w in round r < h add
-  * Σ_p 2^p · popcount(d & plane[h − r][p]) over the planes in use; when
-  * h − r ≥ r those planes are not complete yet, so (w, d, h − r) is logged
-  * and added after the traversal. A lane reaching w in round h adds its 1
-  * alone, so the last round, where most vertices are reached, costs
-  * nothing more.
+  * ball. With `loss`, the traversal keeps every lane's count of
+  * h-neighbours in bit-sliced counters and, after each round r < h, makes
+  * one pass over the round's new frontier: each frontier vertex w adds its
+  * new lanes `visit(w)` to the counters, which are then snapshotted as the
+  * radius-r planes, and adds Σ_p 2^p · popcount(visit(w) & plane[h − r][p])
+  * to its L. When h − r ≥ r those planes are not complete yet, so
+  * (w, visit(w), h − r) is logged and added after the traversal. One sum
+  * per frontier vertex is the sum over the edges that reached it: the
+  * words of lanes that reach w within a round are disjoint (`seen(w)`
+  * absorbs each at once), their union is `visit(w)`, and the sum is
+  * additive over disjoint words. So the edge loop is the same with and
+  * without `loss`, and a lane reaching w in round h adds its 1 alone.
   */
 final class MultiHBfs(n: Int) {
   private val seen = new Array[Long](n)
@@ -129,8 +133,8 @@ final class MultiHBfs(n: Int) {
   private var frontier = new Array[Int](n)
   private var reached = new Array[Int](n)
   // Bit-sliced per-lane counters: bit i of planes(p) is bit p of lane i's
-  // count, so adding a word of lanes is a carry chain. Loss bounds keep
-  // `inUse` of them in use.
+  // count, so adding a word of lanes is a carry chain; `inUse` of them
+  // are in use.
   private val planes = new Array[Long](32)
   private var inUse = 0
   // Counting-sort cursors of [[discover]], one per lowest lane (+ 1).
@@ -166,39 +170,31 @@ final class MultiHBfs(n: Int) {
     */
   def run(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
           h: Int, budget: Budget, out: Array[Int]): Unit = {
-    val nTouched = traverse(g, alive, vertices, from, lanes, h)
+    val nTouched = traverse(g, alive, vertices, from, lanes, h, loss = false)
     // Every lane of seen(w) has w as one visit; all but the source are
     // h-neighbours. Sum the lanes of each word into the counters and reset.
     var visits = 0L
-    var top = 0 // planes in use
     var i = 0
     while (i < nTouched) {
       val w = touched(i)
-      var carry = seen(w)
+      val s = seen(w)
       seen(w) = 0L
-      visits += java.lang.Long.bitCount(carry)
-      var p = 0
-      while (carry != 0L) {
-        val c = planes(p)
-        planes(p) = c ^ carry
-        carry &= c
-        p += 1
-      }
-      if (p > top) top = p
+      visits += java.lang.Long.bitCount(s)
+      count(s)
       i += 1
     }
     i = 0
     while (i < lanes) { out(from + i) = -1; i += 1 }
     var p = 0
-    while (p < top) {
+    while (p < inUse) {
       var x = planes(p)
-      planes(p) = 0L
       while (x != 0L) {
         out(from + java.lang.Long.numberOfTrailingZeros(x)) += 1 << p
         x &= x - 1
       }
       p += 1
     }
+    clearCounts()
     budget.merge(visits, lanes)
     budget.check()
   }
@@ -212,8 +208,7 @@ final class MultiHBfs(n: Int) {
     */
   def discover(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
                h: Int, loss: Boolean, budget: Budget): Int = {
-    val nTouched =
-      if (loss) traverseLoss(g, alive, vertices, from, lanes, h) else traverse(g, alive, vertices, from, lanes, h)
+    val nTouched = traverse(g, alive, vertices, from, lanes, h, loss)
     java.util.Arrays.fill(slot, 0)
     var i = 0
     while (i < nTouched) { slot(java.lang.Long.numberOfTrailingZeros(seen(touched(i))) + 1) += 1; i += 1 }
@@ -242,13 +237,20 @@ final class MultiHBfs(n: Int) {
   }
 
   /** The block's h-BFS: leaves every reached vertex's lanes in `seen`, the
-    * vertices in `touched` by round, and `visit` all zero. Returns the
-    * number of reached vertices.
+    * vertices in `touched` by round, and `visit` all zero; with `loss`,
+    * also every reached vertex's L, less the number of its lanes, in
+    * `lossOf`. Returns the number of reached vertices.
     */
   private def traverse(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
-                       h: Int): Int = {
-    var nTouched = start(vertices, from, lanes, loss = false)
+                       h: Int, loss: Boolean): Int = {
+    var nTouched = start(vertices, from, lanes, loss)
     var nFrontier = nTouched
+    if (loss) {
+      // No radius-0 ball holds an h-neighbour.
+      radii = 0
+      snapshot()
+      logged = 0
+    }
     var round = 1
     while (round <= h && nFrontier > 0) {
       val last = round == h
@@ -280,77 +282,37 @@ final class MultiHBfs(n: Int) {
         k += 1
       }
       nFrontier = endRound(round, nReached, nTouched)
+      if (loss && !last) lossRound(h - round, round, nFrontier)
       round += 1
     }
     clearFrontier(nFrontier)
+    if (loss) {
+      // A ball past the last round taken is the last one.
+      var i = 0
+      while (i < logged) {
+        lossOf(logW(i)) += ballSum(logLanes(i), math.min(logRadius(i), radii - 1))
+        i += 1
+      }
+      clearCounts()
+    }
     nTouched
   }
 
-  /** [[traverse]] that also leaves every reached vertex's L, less the
-    * number of its lanes, in `lossOf`. A loop of its own, so that the
-    * h-degree and count traversals compile as before.
+  /** After round `round` < h: the frontier's new lanes, at distance `round`
+    * from it, add their balls of `radius` = h − `round` to its `lossOf`,
+    * at once if those are known (`radius` < `round`), else logged for after
+    * the traversal; then they grow their own balls to radius `round`.
     */
-  private def traverseLoss(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int], from: Int, lanes: Int,
-                           h: Int): Int = {
-    var nTouched = start(vertices, from, lanes, loss = true)
-    var nFrontier = nTouched
-    // No radius-0 ball holds an h-neighbour.
-    radii = 0
+  private def lossRound(radius: Int, round: Int, nFrontier: Int): Unit = {
+    var k = 0
+    while (k < nFrontier) {
+      val w = frontier(k)
+      val d = visit(w)
+      if (radius < round) lossOf(w) += ballSum(d, radius) else defer(w, d, radius)
+      count(d)
+      k += 1
+    }
     snapshot()
-    logged = 0
-    var round = 1
-    while (round <= h && nFrontier > 0) {
-      val last = round == h
-      // The lanes that reach a vertex now are at distance `round` from it;
-      // their balls of radius h − round are known if h − round < round.
-      val radius = h - round
-      val known = radius < round
-      var nReached = 0
-      var k = 0
-      while (k < nFrontier) {
-        val u = frontier(k)
-        val bits = visit(u)
-        visit(u) = 0L
-        val a = g.adj(u)
-        var j = 0
-        while (j < a.length) {
-          val w = a(j)
-          if (alive(w)) {
-            val sw = seen(w)
-            val d = bits & ~sw
-            if (d != 0L) {
-              if (sw == 0L) { touched(nTouched) = w; nTouched += 1 }
-              seen(w) = sw | d
-              if (!last) {
-                if (next(w) == 0L) { reached(nReached) = w; nReached += 1 }
-                next(w) |= d
-                if (known) lossOf(w) += ballSum(d, radius)
-                else defer(w, d, radius)
-              }
-            }
-          }
-          j += 1
-        }
-        k += 1
-      }
-      nFrontier = endRound(round, nReached, nTouched)
-      if (!last) {
-        // The round's new lanes grow their balls to radius `round`.
-        k = 0
-        while (k < nFrontier) { count(visit(frontier(k))); k += 1 }
-        snapshot()
-      }
-      round += 1
-    }
-    clearFrontier(nFrontier)
-    // A ball past the last round taken is the last one.
-    var i = 0
-    while (i < logged) {
-      lossOf(logW(i)) += ballSum(logLanes(i), math.min(logRadius(i), radii - 1))
-      i += 1
-    }
-    clearCounts()
-    nTouched
   }
 
   /** Puts the sources in `seen`, `visit`, `touched` and the frontier, and

@@ -20,13 +20,9 @@ import scala.jdk.CollectionConverters._
   * has served and is reused, and a one-thread engine starts no thread.
   */
 class MultiHBfsSpec extends AnyFunSuite {
+  import MultiHBfsSpec._
 
   private val batchSizes = Seq(1, 7, 8, 9, 15, 31, 32, 63, 64, 65, 200)
-
-  /** A graph, an alive mask, h, and one batch per size in `batchSizes`. */
-  private final case class Case(g: AdjGraph, alive: Array[Boolean], h: Int, batches: Seq[Array[Int]]) {
-    override def toString: String = s"n=${g.n} m=${g.numEdges} h=$h dead=${alive.count(!_)}"
-  }
 
   private val genCase: Gen[Case] = for {
     n <- Gen.choose(2, 120)
@@ -228,13 +224,25 @@ class MultiHBfsSpec extends AnyFunSuite {
         val expected = expectedLoss(c.g, c.alive, sources.toSeq, h, block = true)
         val (_, visits, bfsCount) = perVertex(c.g, c.alive, sources, h)
         // Twice: the loss planes and log must be reset after a block.
-        for (_ <- 1 to 2) {
+        val reach = (1 to 2).map { _ =>
           val b = Budget.unlimited()
           val m = ms.discover(c.g, c.alive, batch, from, lanes, h, loss = true, b)
           val got = (0 until m).map(i => (ms.found(i), ms.foundRound(i), ms.foundLoss(i)))
           assert(got.sorted == expected.sorted, s"$c h=$h block=$lanes")
           assert((b.visits, b.bfsCount) == ((visits, bfsCount)), s"$c h=$h block=$lanes")
-        }
+          got.map { case (u, r, _) => (u, r) }
+        }.last
+        // The same traversal without loss: the same vertices and rounds in
+        // the same order, at the same cost.
+        val b = Budget.unlimited()
+        val m = ms.discover(c.g, c.alive, batch, from, lanes, h, loss = false, b)
+        assert((0 until m).map(i => (ms.found(i), ms.foundRound(i))) == reach, s"$c h=$h block=$lanes")
+        assert((b.visits, b.bfsCount) == ((visits, bfsCount)), s"$c h=$h block=$lanes")
+        // h-degrees right after a loss block: it leaves no counts behind.
+        ms.discover(c.g, c.alive, batch, from, lanes, h, loss = true, Budget.unlimited())
+        val out = new Array[Int](batch.length)
+        ms.run(c.g, c.alive, batch, from, lanes, h, Budget.unlimited(), out)
+        assert(out.slice(from, from + lanes).toSeq == perVertex(c.g, c.alive, sources, h)._1, s"$c h=$h block=$lanes")
       }
     }
   }
@@ -380,5 +388,13 @@ class MultiHBfsSpec extends AnyFunSuite {
              new SequentialEngine(g.n).batchNbrMax(g, alive, batch, 2, lb1, Budget.unlimited()).toSeq)
       assert((pools -- before).isEmpty, s"started ${(pools -- before).map(_.getName)}")
     } finally one.shutdown()
+  }
+}
+
+object MultiHBfsSpec {
+
+  /** A graph, an alive mask, h, and one batch per size in `batchSizes`. */
+  private final case class Case(g: AdjGraph, alive: Array[Boolean], h: Int, batches: Seq[Array[Int]]) {
+    override def toString: String = s"n=${g.n} m=${g.numEdges} h=$h dead=${alive.count(!_)}"
   }
 }
